@@ -15,15 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .augment import AugmentConfig, augment_sample
-from .training import (
-    MetricsRow,
-    ShapeMismatch,
-    TrainConfig,
-    _check_binary,
-    adam_step,
-    lr_at,
-)
+from .augment import AugmentConfig
+from .training import ShapeMismatch, TrainConfig, fit
 
 
 @dataclass(frozen=True)
@@ -167,20 +160,6 @@ def maxpool2x2_backward(x_shape, route: np.ndarray, dout: np.ndarray) -> np.ndar
     return dx
 
 
-def dense_softmax_xent(flat: np.ndarray, weights: np.ndarray, biases: np.ndarray,
-                       label: int) -> tuple[float, np.ndarray]:
-    """Single-sample head: probs = softmax(W.T x + b), loss = -log probs[label].
-
-    Max-subtraction plus the log-sum-exp form keep both outputs finite even
-    for enormous logits (where probs[label] itself underflows to 0).
-    """
-    logits = flat @ weights + biases
-    z = logits - logits.max()
-    e = np.exp(z)
-    probs = e / e.sum()
-    return float(np.log(e.sum()) - z[label]), probs
-
-
 def _softmax_rows(logits: np.ndarray) -> np.ndarray:
     z = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(z)
@@ -210,13 +189,6 @@ def _forward(model: CnnModel, x: np.ndarray):
     flat = x.reshape(m, -1)
     logits = flat @ model.dense_w + model.dense_b
     return logits, (caches, flat, x.shape)
-
-
-def cnn_probs(model: CnnModel, images) -> np.ndarray:
-    """Class probabilities, one row per image."""
-    x = np.asarray(images, dtype=np.float64)[..., None]
-    logits, _ = _forward(model, x)
-    return _softmax_rows(logits)
 
 
 def cnn_loss_and_grads(model: CnnModel, images, labels):
@@ -263,34 +235,13 @@ def cnn_evaluate(model: CnnModel, images, labels) -> tuple[float, float]:
 
 def train_cnn(model: CnnModel, train_set, test_set, cfg: TrainConfig,
               augment_cfg: AugmentConfig | None = None):
-    """Full-batch Adam over every kernel/bias/dense weight.
-
-    Mirrors the quantum loop: augmentation (if any) redraws the training
-    batch each epoch, metrics are measured on the clean sets, and the whole
-    run is a pure function of (model, data, config).
-    """
-    train_labels = _check_binary(train_set.labels(), "train")
-    test_labels = _check_binary(test_set.labels(), "test")
-    train_images = train_set.images()
-    test_images = test_set.images()
-
-    augmenting = augment_cfg is not None and augment_cfg.enabled
-    aug_rng = np.random.default_rng([cfg.seed, 1]) if augmenting else None
-
-    params = model.pack()
-    moments = None
-    rows: list[MetricsRow] = []
-    for epoch in range(cfg.epochs):
-        if augmenting:
-            batch = [augment_sample(img, augment_cfg, aug_rng) for img in train_images]
-        else:
-            batch = train_images
-        current = model.with_params(params)
-        _, _, grads = cnn_loss_and_grads(current, batch, train_labels)
-        params, moments = adam_step(params, grads, moments, epoch + 1, lr_at(epoch, cfg),
-                                    cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
+    """training.fit every kernel/bias/dense weight on the cross-entropy loss;
+    returns (per-epoch metrics, trained model)."""
+    def scores(params, batches, labels):
         stepped = model.with_params(params)
-        tr_loss, tr_acc = cnn_evaluate(stepped, train_images, train_labels)
-        te_loss, te_acc = cnn_evaluate(stepped, test_images, test_labels)
-        rows.append(MetricsRow(epoch, tr_loss, tr_acc, te_loss, te_acc))
+        return [cnn_evaluate(stepped, x, y) for x, y in zip(batches, labels)]
+
+    rows, params = fit(model.pack(), train_set, test_set, cfg, augment_cfg,
+                       encode=np.asarray, scores=scores,
+                       grad=lambda p, x, y: cnn_loss_and_grads(model.with_params(p), x, y)[2])
     return rows, model.with_params(params)

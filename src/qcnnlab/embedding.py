@@ -2,8 +2,7 @@
 
 Amplitude embedding writes N normalized pixel values into the first N
 amplitudes of a 2**n register (zero-padded past the pixels), which is the
-encoding every experiment in this lab uses.  Single-value qubit embedding
-is provided for completeness but is not wired into the classifier.
+encoding every experiment in this lab uses.
 """
 
 from __future__ import annotations
@@ -20,10 +19,6 @@ class AllZeroImage(EmbeddingError):
 
 
 class RegisterTooSmall(EmbeddingError):
-    pass
-
-
-class OutOfRange(EmbeddingError):
     pass
 
 
@@ -44,10 +39,3 @@ def amplitude_embed(pixels, n_qubits: int) -> np.ndarray:
     state[: len(values)] = values / norm
     return state
 
-
-def qubit_embed(x: float) -> np.ndarray:
-    """One-qubit state cos(pi*x/2)|0> + sin(pi*x/2)|1> for x in [0, 1]."""
-    if not 0.0 <= x <= 1.0:
-        raise OutOfRange(f"qubit_embed expects x in [0, 1], got {x}")
-    angle = np.pi * x
-    return np.array([np.cos(angle / 2), np.sin(angle / 2)], dtype=np.complex128)

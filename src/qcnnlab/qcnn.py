@@ -27,6 +27,7 @@ import numpy as np
 from .embedding import amplitude_embed
 from .simulator import (
     PAULIS,
+    _apply_gate,
     apply_gate,
     controlled,
     ising_matrix,
@@ -261,33 +262,30 @@ def circuit_ops(arch: Architecture, params, with_grads: bool = False) -> list[Ga
 
 
 # ---------------------------------------------------------------------------
-# layer application and forward pass
+# forward pass
 # ---------------------------------------------------------------------------
 
-def _apply_ops(state: np.ndarray, ops) -> np.ndarray:
+def embed_columns(images, n_qubits: int) -> np.ndarray:
+    """Amplitude embeddings stacked as the columns of a (2**n, m) matrix."""
+    return np.stack([amplitude_embed(img, n_qubits) for img in images], axis=1)
+
+
+def run_columns(arch: Architecture, ops, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Evolve every column of ``states`` through ``ops`` and read each out.
+
+    Returns (final states, class-1 probability per column).  Every QCNN
+    forward pass but the measure-and-branch oracle runs through here.
+    """
     for op in ops:
-        state = apply_gate(state, op.matrix, op.targets)
-    return state
-
-
-def conv_layer(state, weights15, wires, first_depth: bool = False) -> np.ndarray:
-    return _apply_ops(state, conv_block_ops(weights15, wires, first_depth))
-
-
-def pool_layer(state, weights3, wires) -> tuple[np.ndarray, tuple[int, ...]]:
-    ops, survivors = pool_block_ops(weights3, wires)
-    return _apply_ops(state, ops), survivors
-
-
-def flatten_layer(state, weights, wires) -> np.ndarray:
-    return _apply_ops(state, flatten_block_ops(weights, wires))
+        states = _apply_gate(states, op.matrix, op.targets, arch.n_qubits)
+    mask = ((np.arange(states.shape[0]) >> arch.readout_wire) & 1).astype(bool)
+    return states, np.sum(np.abs(states[mask]) ** 2, axis=0)
 
 
 def forward(arch: Architecture, params, pixels) -> float:
     """Class-1 probability of one image: embed, run the circuit, read out."""
-    state = amplitude_embed(pixels, arch.n_qubits)
-    state = _apply_ops(state, circuit_ops(arch, params))
-    return readout_prob_one(state, arch.readout_wire)
+    _, p1s = run_columns(arch, circuit_ops(arch, params), embed_columns([pixels], arch.n_qubits))
+    return float(p1s[0])
 
 
 def predict(p1: float) -> int:
@@ -298,6 +296,12 @@ def predict(p1: float) -> int:
 # ---------------------------------------------------------------------------
 # measure-and-branch oracle
 # ---------------------------------------------------------------------------
+
+def _apply_ops(state: np.ndarray, ops) -> np.ndarray:
+    for op in ops:
+        state = apply_gate(state, op.matrix, op.targets)
+    return state
+
 
 def _project(state: np.ndarray, wire: int, outcome: int) -> tuple[float, np.ndarray]:
     keep = (((np.arange(len(state)) >> wire) & 1) == outcome)

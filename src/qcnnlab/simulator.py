@@ -1,6 +1,7 @@
 """Exact state-vector simulation of few-qubit registers.
 
-States are plain numpy arrays of 2**n complex amplitudes.  Qubit 0 is the
+States are plain numpy arrays of 2**n complex amplitudes; a batch of states
+is a (2**n, m) matrix with one state per column.  Qubit 0 is the
 least-significant bit of the basis-state index, so basis state |q1 q0> = |10>
 sits at index 2.  Gates are dense 2x2 or 4x4 complex matrices; for a
 multi-qubit gate the first entry of ``targets`` addresses the most
@@ -60,11 +61,6 @@ CNOT = np.array(
 )
 
 PAULIS = {"I": I2, "X": X, "Y": Y, "Z": Z}
-
-
-def fixed_gates() -> dict[str, np.ndarray]:
-    """Standard non-parametric gates (fresh copies)."""
-    return {"X": X.copy(), "Y": Y.copy(), "Z": Z.copy(), "H": H.copy(), "CNOT": CNOT.copy()}
 
 
 def num_qubits(state: np.ndarray) -> int:
@@ -175,23 +171,33 @@ def _check_targets(n: int, targets: tuple[int, ...]) -> None:
 def apply_gate(state: np.ndarray, g: np.ndarray, targets) -> np.ndarray:
     """Apply ``g`` to the listed qubits of ``state``; identity elsewhere.
 
-    ``targets[0]`` is the most significant bit of the gate's own index, so a
-    4x4 block-diagonal controlled gate takes targets (control, target).
-    Returns a new array; the input is never mutated.
+    ``state`` is one state of shape (2**n,) or a batch of shape (2**n, m),
+    one state per column.  ``targets[0]`` is the most significant bit of the
+    gate's own index, so a 4x4 block-diagonal controlled gate takes targets
+    (control, target).  Returns a new array; the input is never mutated.
     """
+    if state.ndim not in (1, 2):
+        raise DimensionMismatch(f"state must be (2**n,) or (2**n, m), got shape {state.shape}")
     targets = tuple(int(t) for t in targets)
     n = num_qubits(state)
     _check_targets(n, targets)
     k = len(targets)
     if g.shape != (2**k, 2**k):
         raise DimensionMismatch(f"gate shape {g.shape} does not match {k} target(s)")
-    # Axis n-1-q holds qubit q after reshaping to [2]*n (index MSB first).
-    psi = state.reshape([2] * n)
+    return _apply_gate(state, g, targets, n)
+
+
+def _apply_gate(state: np.ndarray, g: np.ndarray, targets, n: int) -> np.ndarray:
+    """:func:`apply_gate` without its checks, for a validated gate sequence."""
+    k = len(targets)
+    # Axis n-1-q holds qubit q after reshaping to [2]*n (index MSB first);
+    # the trailing axis holds the batch columns (length 1 for one state).
+    psi = state.reshape([2] * n + [-1])
     axes = [n - 1 - q for q in targets]
     psi = np.moveaxis(psi, axes, range(k))
-    psi = g @ psi.reshape(2**k, -1)
-    psi = np.moveaxis(psi.reshape([2] * n), range(k), axes)
-    return np.ascontiguousarray(psi).reshape(-1)
+    psi = (g @ psi.reshape(2**k, -1)).reshape(psi.shape)
+    psi = np.moveaxis(psi, range(k), axes)
+    return np.ascontiguousarray(psi).reshape(state.shape)
 
 
 def readout_prob_one(state: np.ndarray, qubit: int) -> float:

@@ -1,11 +1,11 @@
-"""Loss, gradients, and the optimization loop for the quantum classifier.
+"""The training loop shared by both models, and the QCNN's loss and gradients.
 
-The gradient engine is exact: a reverse sweep over the gate sequence
-accumulates d(loss)/d(angle) from the closed-form gate derivatives, checked
-against a central finite-difference oracle.  Batches are evolved as columns
-of one matrix so an epoch is a few dozen small matmuls rather than a Python
-loop over samples.  Optimization is full-batch Adam with the learning rate
-starting at 0.1 and decaying 5% per epoch.
+:func:`fit` is the one epoch loop: full-batch Adam with the learning rate
+starting at 0.1 and decaying 5% per epoch.  The QCNN gradient engine is
+exact: a reverse sweep over the gate sequence accumulates d(loss)/d(angle)
+from the closed-form gate derivatives, checked against a central
+finite-difference oracle.  Batches are evolved as columns of one matrix so
+an epoch is a few dozen small matmuls rather than a Python loop over samples.
 """
 
 from __future__ import annotations
@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .augment import AugmentConfig, augment_sample
-from .embedding import amplitude_embed
-from .qcnn import Architecture, circuit_ops, predict
+from .qcnn import Architecture, circuit_ops, embed_columns, predict, run_columns
+from .simulator import _apply_gate
 
 
 class TrainingError(ValueError):
@@ -46,11 +46,7 @@ class TrainConfig:
     epochs: int
     lr0: float = 0.1
     lr_decay: float = 0.05
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     seed: int = 0
-    batch: str = "full"
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -59,8 +55,6 @@ class TrainConfig:
             raise TrainingError(f"lr0 must be >= 0, got {self.lr0}")
         if not 0 <= self.lr_decay < 1:
             raise TrainingError(f"lr_decay must be in [0, 1), got {self.lr_decay}")
-        if self.batch != "full":
-            raise TrainingError(f"only full-batch training is implemented, got {self.batch!r}")
 
 
 @dataclass(frozen=True)
@@ -101,45 +95,10 @@ def lr_at(epoch: int, cfg: TrainConfig) -> float:
     return cfg.lr0 * (1.0 - cfg.lr_decay) ** epoch
 
 
-# ---------------------------------------------------------------------------
-# batched state evolution
-# ---------------------------------------------------------------------------
-
-def _embed_columns(images, n_qubits: int) -> np.ndarray:
-    """Stack amplitude embeddings as columns of a (2**n, m) matrix."""
-    return np.stack([amplitude_embed(img, n_qubits) for img in images], axis=1)
-
-
-def _apply_columns(states: np.ndarray, g: np.ndarray, targets, n: int) -> np.ndarray:
-    """apply_gate over every column at once (same axis bookkeeping)."""
-    k = len(targets)
-    m = states.shape[1]
-    psi = states.reshape([2] * n + [m])
-    axes = [n - 1 - q for q in targets]
-    psi = np.moveaxis(psi, axes, range(k))
-    psi = (g @ psi.reshape(2**k, -1)).reshape([2] * n + [m])
-    psi = np.moveaxis(psi, range(k), axes)
-    return psi.reshape(2**n, m)
-
-
-def _prob_one_columns(states: np.ndarray, wire: int) -> np.ndarray:
-    mask = ((np.arange(states.shape[0]) >> wire) & 1).astype(bool)
-    return np.sum(np.abs(states[mask, :]) ** 2, axis=0)
-
-
 def batch_p1s(arch: Architecture, params, images) -> np.ndarray:
     """Class-1 probability for every image, sharing one gate-sequence build."""
-    ops = circuit_ops(arch, params)
-    cols = _embed_columns(images, arch.n_qubits)
-    for op in ops:
-        cols = _apply_columns(cols, op.matrix, op.targets, arch.n_qubits)
-    return _prob_one_columns(cols, arch.readout_wire)
-
-
-def evaluate(arch: Architecture, params, images, labels) -> tuple[float, float]:
-    """(mse loss, accuracy) of the current parameters on a labeled set."""
-    p1s = batch_p1s(arch, params, images)
-    return mse_loss(p1s, labels), accuracy(p1s, labels)
+    _, p1s = run_columns(arch, circuit_ops(arch, params), embed_columns(images, arch.n_qubits))
+    return p1s
 
 
 # ---------------------------------------------------------------------------
@@ -175,27 +134,21 @@ def _grad_columns(arch: Architecture, params, cols: np.ndarray, labels) -> np.nd
     n = arch.n_qubits
     labels = np.asarray(labels, dtype=np.float64).reshape(-1)
     ops = circuit_ops(arch, params, with_grads=True)
-
-    phi = cols
-    for op in ops:
-        phi = _apply_columns(phi, op.matrix, op.targets, n)
-
-    wire = arch.readout_wire
-    p1s = _prob_one_columns(phi, wire)
+    phi, p1s = run_columns(arch, ops, cols)
     coef = 2.0 * (p1s - labels) / labels.size
 
-    mask = ((np.arange(phi.shape[0]) >> wire) & 1).astype(np.float64)
+    mask = ((np.arange(phi.shape[0]) >> arch.readout_wire) & 1).astype(np.float64)
     bra = phi * mask[:, None]
     ket = phi
     grads = np.zeros(arch.param_count, dtype=np.float64)
     for op in reversed(ops):
         inv = op.matrix.conj().T
-        ket = _apply_columns(ket, inv, op.targets, n)
+        ket = _apply_gate(ket, inv, op.targets, n)
         for pidx, dm in op.grads:
-            d = _apply_columns(ket, dm, op.targets, n)
+            d = _apply_gate(ket, dm, op.targets, n)
             dp1 = 2.0 * np.real(np.sum(np.conj(bra) * d, axis=0))
             grads[pidx] += float(np.dot(coef, dp1))
-        bra = _apply_columns(bra, inv, op.targets, n)
+        bra = _apply_gate(bra, inv, op.targets, n)
     return grads
 
 
@@ -206,8 +159,7 @@ def grad_exact(arch: Architecture, params, images, labels) -> np.ndarray:
         raise EmptyBatch("gradient over an empty batch")
     if len(images) != labels.size:
         raise LengthMismatch(f"{len(images)} images vs {labels.size} labels")
-    cols = _embed_columns(images, arch.n_qubits)
-    return _grad_columns(arch, params, cols, labels)
+    return _grad_columns(arch, params, embed_columns(images, arch.n_qubits), labels)
 
 
 # ---------------------------------------------------------------------------
@@ -252,50 +204,55 @@ def _check_binary(labels, what: str) -> np.ndarray:
     return labels.astype(np.int64)
 
 
-def train_qcnn(arch: Architecture, train_set, test_set, cfg: TrainConfig,
-               augment_cfg: AugmentConfig | None = None):
+def fit(params, train_set, test_set, cfg: TrainConfig, augment_cfg: AugmentConfig | None,
+        *, encode, grad, scores):
     """Full-batch Adam training; returns (per-epoch metrics, final params).
 
-    Augmentation, when enabled, redraws the training images every epoch from
-    a stream seeded alongside the parameter init; gradients see the augmented
-    batch while both metric columns are computed on the clean sets.
+    The model supplies ``encode(images)``, its input for a list of images,
+    ``grad(params, batch, labels)`` and ``scores(params, batches, labels)``,
+    one (loss, accuracy) per batch.  Augmentation, when enabled, redraws the
+    training images every epoch from a stream seeded by [seed, 1]; gradients
+    see the augmented batch, metrics the clean sets after the step.  A step
+    that leaves a non-finite parameter or loss raises TrainingError.
     """
-    train_labels = _check_binary(train_set.labels(), "train")
-    test_labels = _check_binary(test_set.labels(), "test")
+    labels = (_check_binary(train_set.labels(), "train"), _check_binary(test_set.labels(), "test"))
     train_images = train_set.images()
-    test_images = test_set.images()
-
-    params = init_params(arch, cfg.seed)
+    clean = (encode(train_images), encode(test_set.images()))
     augmenting = augment_cfg is not None and augment_cfg.enabled
     aug_rng = np.random.default_rng([cfg.seed, 1]) if augmenting else None
-
-    clean_train = _embed_columns(train_images, arch.n_qubits)
-    clean_test = _embed_columns(test_images, arch.n_qubits)
 
     rows: list[MetricsRow] = []
     moments = None
     for epoch in range(cfg.epochs):
         if augmenting:
-            batch = _embed_columns(
-                [augment_sample(img, augment_cfg, aug_rng) for img in train_images],
-                arch.n_qubits)
+            batch = encode([augment_sample(img, augment_cfg, aug_rng) for img in train_images])
         else:
-            batch = clean_train
-        grads = _grad_columns(arch, params, batch, train_labels)
-        params, moments = adam_step(params, grads, moments, epoch + 1, lr_at(epoch, cfg),
-                                    cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
-
-        ops = circuit_ops(arch, params)
-        states_tr, states_te = clean_train, clean_test
-        for op in ops:
-            states_tr = _apply_columns(states_tr, op.matrix, op.targets, arch.n_qubits)
-            states_te = _apply_columns(states_te, op.matrix, op.targets, arch.n_qubits)
-        p1_tr = _prob_one_columns(states_tr, arch.readout_wire)
-        p1_te = _prob_one_columns(states_te, arch.readout_wire)
-        rows.append(MetricsRow(epoch,
-                               mse_loss(p1_tr, train_labels), accuracy(p1_tr, train_labels),
-                               mse_loss(p1_te, test_labels), accuracy(p1_te, test_labels)))
+            batch = clean[0]
+        lr = lr_at(epoch, cfg)
+        params, moments = adam_step(params, grad(params, batch, labels[0]), moments, epoch + 1, lr)
+        (tr_loss, tr_acc), (te_loss, te_acc) = scores(params, clean, labels)
+        if not (np.all(np.isfinite(params)) and np.isfinite(tr_loss) and np.isfinite(te_loss)):
+            raise TrainingError(f"training diverged: non-finite parameters or loss after the step "
+                                f"at seed {cfg.seed}, epoch {epoch}, lr {lr:g}")
+        rows.append(MetricsRow(epoch, tr_loss, tr_acc, te_loss, te_acc))
     return rows, params
+
+
+def train_qcnn(arch: Architecture, train_set, test_set, cfg: TrainConfig,
+               augment_cfg: AugmentConfig | None = None):
+    """:func:`fit` the circuit from :func:`init_params` on the MSE loss."""
+    def scores(params, batches, labels):
+        ops = circuit_ops(arch, params)
+        out = []
+        for cols, y in zip(batches, labels):
+            _, p1s = run_columns(arch, ops, cols)
+            out.append((mse_loss(p1s, y), accuracy(p1s, y)))
+        return out
+
+    return fit(init_params(arch, cfg.seed), train_set, test_set, cfg, augment_cfg,
+               encode=lambda images: embed_columns(images, arch.n_qubits),
+               grad=lambda params, cols, y: _grad_columns(arch, params, cols, y),
+               scores=scores)
 
 
 # ---------------------------------------------------------------------------
@@ -309,11 +266,6 @@ def format_metrics(rows) -> str:
         lines.append(f"{int(r.epoch)},{r.train_loss:.6g},{r.train_acc:.6g},"
                      f"{r.test_loss:.6g},{r.test_acc:.6g}")
     return "\n".join(lines) + "\n"
-
-
-def write_metrics_csv(path, rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(format_metrics(rows))
 
 
 def mean_metrics(runs) -> list[MetricsRow]:

@@ -10,11 +10,9 @@ from qcnnlab.cnn import (
     build_cnn,
     cnn_evaluate,
     cnn_loss_and_grads,
-    cnn_probs,
     conv2d,
     conv2d_backward,
     conv_specs_for,
-    dense_softmax_xent,
     maxpool2x2,
     maxpool2x2_backward,
     relu,
@@ -147,24 +145,36 @@ def test_maxpool_backward_matches_fd():
 # softmax head
 # ---------------------------------------------------------------------------
 
+def _constant_logits_model(logits):
+    """An 8x8 network whose logits are ``logits`` for every image: all
+    weights zero except the dense bias."""
+    model = build_cnn((8, 8), seed=0)
+    flat = np.zeros(model.n_params)
+    flat[-2:] = logits
+    return model.with_params(flat)
+
+
 def test_softmax_even_logits():
-    loss, probs = dense_softmax_xent(np.zeros(3), np.zeros((3, 2)), np.zeros(2), 0)
-    assert np.allclose(probs, [0.5, 0.5], atol=1e-12)
+    images = np.random.default_rng(0).random((2, 8, 8))
+    loss, acc = cnn_evaluate(_constant_logits_model([0.0, 0.0]), images, [0, 1])
     assert loss == pytest.approx(np.log(2.0), abs=1e-12)
+    assert acc == 0.5  # ties go to class 0
 
 
 def test_softmax_confident_correct_has_tiny_loss():
-    loss, probs = dense_softmax_xent(np.array([1.0]), np.array([[20.0, -20.0]]),
-                                     np.zeros(2), 0)
+    images = np.random.default_rng(1).random((3, 8, 8))
+    loss, acc = cnn_evaluate(_constant_logits_model([20.0, -20.0]), images, [0, 0, 0])
     assert loss == pytest.approx(0.0, abs=1e-12)
-    assert probs.sum() == pytest.approx(1.0, abs=1e-12)
+    assert acc == 1.0
 
 
 def test_softmax_survives_huge_logits():
-    loss, probs = dense_softmax_xent(np.array([1.0]), np.array([[1000.0, 0.0]]),
-                                     np.zeros(2), 1)
-    assert np.isfinite(loss)
-    assert probs.sum() == pytest.approx(1.0, abs=1e-12)
+    # exp(1000) overflows, and softmax's p[1] underflows to 0, yet the
+    # log-sum-exp form gives the exact loss.
+    images = np.random.default_rng(2).random((2, 8, 8))
+    loss, acc = cnn_evaluate(_constant_logits_model([1000.0, 0.0]), images, [1, 1])
+    assert loss == pytest.approx(1000.0, rel=1e-12)
+    assert acc == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -209,11 +219,14 @@ def test_pack_unpack_round_trip():
 
 
 def test_model_probs_rows_sum_to_one():
+    # The dense-bias gradient is the batch mean of (probs - onehot), so its
+    # two entries cancel exactly when every probability row sums to one.
     rng = np.random.default_rng(3)
     model = build_cnn((8, 8), seed=2)
-    probs = cnn_probs(model, rng.random((4, 8, 8)))
-    assert probs.shape == (4, 2)
-    assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-12)
+    for labels in ([0, 1, 1, 0], [1, 1, 1, 1]):
+        _, _, grads = cnn_loss_and_grads(model, rng.random((4, 8, 8)), labels)
+        assert abs(grads[-2] + grads[-1]) < 1e-12
+        assert abs(grads[-1]) > 1e-3
 
 
 def test_full_model_gradient_matches_fd():

@@ -1,4 +1,4 @@
-"""Amplitude and single-value qubit embeddings."""
+"""Amplitude embedding."""
 
 import numpy as np
 import pytest
@@ -58,27 +58,3 @@ def test_register_too_small_rejected():
     with pytest.raises(embedding.RegisterTooSmall):
         embedding.amplitude_embed(np.ones(5), 2)
 
-
-def test_qubit_embed_endpoints():
-    np.testing.assert_allclose(embedding.qubit_embed(0.0), [1, 0], atol=1e-15)
-    np.testing.assert_allclose(embedding.qubit_embed(1.0), [0, 1], atol=1e-15)
-
-
-def test_qubit_embed_midpoint():
-    np.testing.assert_allclose(
-        embedding.qubit_embed(0.5), [np.cos(np.pi / 4), np.sin(np.pi / 4)], atol=1e-15
-    )
-
-
-def test_qubit_embed_nonnegative_unit_norm():
-    for x in np.linspace(0, 1, 21):
-        state = embedding.qubit_embed(x)
-        assert np.all(state.real >= 0) and np.all(state.imag == 0)
-        assert abs(np.linalg.norm(state) - 1) < 1e-12
-
-
-def test_qubit_embed_rejects_out_of_range():
-    with pytest.raises(embedding.OutOfRange):
-        embedding.qubit_embed(1.2)
-    with pytest.raises(embedding.OutOfRange):
-        embedding.qubit_embed(-0.1)

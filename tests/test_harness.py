@@ -254,6 +254,18 @@ def test_cli_train_cnn_end_to_end(tmp_path):
     assert (out / "metrics_rep0.csv").exists()
 
 
+def test_cli_divergent_cnn_is_numeric_failure_and_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "run"
+    code = main(["train-cnn", "--out", str(out), "--data-path", DIGITS, "--lr0", "1e308",
+                 "--epochs", "2", "--repetitions", "1", "--threads", "1"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert "non-finite" in captured.err
+    assert "seed 0, epoch 0, lr 1e+308" in captured.err
+    assert "mean final test acc" not in captured.out
+    assert not out.exists()
+
+
 def test_cli_compare_da_end_to_end(tmp_path, capsys):
     out = tmp_path / "cmp"
     code = main(["compare-da", "--out", str(out), "--data-path", DIGITS,

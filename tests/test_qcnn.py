@@ -15,6 +15,12 @@ def random_state(n, rng=RNG):
     return amps / np.linalg.norm(amps)
 
 
+def apply_ops(state, ops):
+    for op in ops:
+        state = sim.apply_gate(state, op.matrix, op.targets)
+    return state
+
+
 # ---------------------------------------------------------------------------
 # architecture
 # ---------------------------------------------------------------------------
@@ -70,7 +76,7 @@ def test_wrong_param_length_rejected():
 
 def test_conv_all_zero_weights_is_identity():
     state = random_state(4)
-    out = qcnn.conv_layer(state, np.zeros(15), (0, 1, 2, 3), first_depth=True)
+    out = apply_ops(state, qcnn.conv_block_ops(np.zeros(15), (0, 1, 2, 3), first_depth=True))
     np.testing.assert_allclose(out, state, atol=1e-12)
 
 
@@ -95,14 +101,12 @@ def test_conv_matches_dense_oracle():
         ops = qcnn.conv_block_ops(w, (0, 1, 2, 3), first_depth=True)
         full = sim.dense_circuit_oracle([(op.matrix, op.targets) for op in ops], 4)
         state = random_state(4)
-        np.testing.assert_allclose(
-            qcnn.conv_layer(state, w, (0, 1, 2, 3), first_depth=True), full @ state, atol=1e-10
-        )
+        np.testing.assert_allclose(apply_ops(state, ops), full @ state, atol=1e-10)
 
 
 def test_conv_weight_length_checked():
     with pytest.raises(qcnn.WeightLengthMismatch):
-        qcnn.conv_layer(random_state(2), np.zeros(14), (0, 1))
+        qcnn.conv_block_ops(np.zeros(14), (0, 1), first_depth=False)
 
 
 def test_conv_pair_order_within_subround_is_immaterial():
@@ -111,7 +115,7 @@ def test_conv_pair_order_within_subround_is_immaterial():
     w = RNG.uniform(-np.pi, np.pi, 15)
     wires = (0, 1, 2, 3, 4, 5)
     state = random_state(6)
-    forward_order = qcnn.conv_layer(state, w, wires, first_depth=True)
+    forward_order = apply_ops(state, qcnn.conv_block_ops(w, wires, first_depth=True))
 
     reversed_order = state
     for parity in (0, 1):
@@ -135,13 +139,13 @@ def test_conv_pair_order_within_subround_is_immaterial():
 
 def test_pool_zero_weights_is_identity():
     state = random_state(4)
-    out, survivors = qcnn.pool_layer(state, np.zeros(3), (0, 1, 2, 3))
-    np.testing.assert_allclose(out, state, atol=1e-12)
+    ops, survivors = qcnn.pool_block_ops(np.zeros(3), (0, 1, 2, 3))
+    np.testing.assert_allclose(apply_ops(state, ops), state, atol=1e-12)
     assert survivors == (0, 2)
 
 
 def test_pool_survivors_are_even_positions():
-    _, survivors = qcnn.pool_layer(random_state(5), np.zeros(3), (0, 2, 3))
+    _, survivors = qcnn.pool_block_ops(np.zeros(3), (0, 2, 3))
     assert survivors == (0, 3)
 
 
@@ -151,8 +155,8 @@ def test_pool_inactive_when_control_is_zero():
     target = random_state(1)
     state = np.zeros(4, dtype=complex)
     state[0:2] = target
-    out, _ = qcnn.pool_layer(state, w, (0, 1))
-    np.testing.assert_allclose(out, state, atol=1e-12)
+    ops, _ = qcnn.pool_block_ops(w, (0, 1))
+    np.testing.assert_allclose(apply_ops(state, ops), state, atol=1e-12)
 
 
 def test_pool_superposed_control_matches_branch_oracle():
@@ -161,7 +165,8 @@ def test_pool_superposed_control_matches_branch_oracle():
     for _ in range(10):
         w = RNG.uniform(-np.pi, np.pi, 3)
         state = random_state(2)
-        pooled, _ = qcnn.pool_layer(state, w, (0, 1))
+        ops, _ = qcnn.pool_block_ops(w, (0, 1))
+        pooled = apply_ops(state, ops)
         got = sim.readout_prob_one(pooled, 0)
 
         u3 = sim.u3_matrix(*w)
@@ -185,7 +190,7 @@ def test_pool_superposed_control_matches_branch_oracle():
 
 def test_flatten_zero_weights_is_identity():
     state = random_state(3)
-    out = qcnn.flatten_layer(state, np.zeros(63), (0, 1, 2))
+    out = apply_ops(state, qcnn.flatten_block_ops(np.zeros(63), (0, 1, 2)))
     np.testing.assert_allclose(out, state, atol=1e-12)
 
 
@@ -211,7 +216,7 @@ def test_flatten_operator_is_unitary():
 
 def test_flatten_weight_length_checked():
     with pytest.raises(qcnn.WeightLengthMismatch):
-        qcnn.flatten_layer(random_state(2), np.zeros(14), (0, 1))
+        qcnn.flatten_block_ops(np.zeros(14), (0, 1))
 
 
 # ---------------------------------------------------------------------------

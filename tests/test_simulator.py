@@ -85,15 +85,6 @@ def test_ising_rejects_unknown_kind():
         sim.ising_matrix("XY", 0.1)
 
 
-def test_fixed_gates_algebra():
-    g = sim.fixed_gates()
-    np.testing.assert_allclose(g["X"] @ [1, 0], [0, 1], atol=1e-15)
-    np.testing.assert_allclose(g["H"] @ g["H"], np.eye(2), atol=1e-15)
-    # |10> (control=1, target=0 in the (control, target) convention) -> |11>
-    basis_10 = np.zeros(4); basis_10[2] = 1
-    np.testing.assert_allclose(g["CNOT"] @ basis_10, [0, 0, 0, 1], atol=1e-15)
-
-
 def test_controlled_x_is_cnot():
     np.testing.assert_allclose(sim.controlled(sim.X), sim.CNOT, atol=1e-15)
 
@@ -155,6 +146,40 @@ def test_apply_gate_errors():
         sim.apply_gate(state, sim.CNOT, (1, 1))
     with pytest.raises(sim.DimensionMismatch):
         sim.apply_gate(state, sim.CNOT, (1,))
+
+
+def test_apply_gate_on_columns_matches_each_column_and_dense_oracle():
+    n, m = 4, 5
+    for _ in range(10):
+        states = np.stack([random_state(n) for _ in range(m)], axis=1)
+        gates = [(random_u3(), (int(RNG.integers(n)),)),
+                 (sim.ising_matrix("XX", RNG.uniform(-4, 4)), tuple(RNG.permutation(n)[:2])),
+                 (sim.controlled(random_u3()), tuple(RNG.permutation(n)[:2]))]
+        got = states
+        for g, targets in gates:
+            want_cols = [sim.apply_gate(got[:, j], g, targets) for j in range(m)]
+            got = sim.apply_gate(got, g, targets)
+            assert got.shape == (2**n, m)
+            np.testing.assert_allclose(got, np.stack(want_cols, axis=1), atol=1e-14)
+        np.testing.assert_allclose(got, sim.dense_circuit_oracle(gates, n) @ states, atol=1e-10)
+
+
+def test_apply_gate_on_columns_errors_match_single_state():
+    for state in (sim.zero_state(3), np.stack([sim.zero_state(3)] * 4, axis=1)):
+        with pytest.raises(sim.TargetOutOfRange):
+            sim.apply_gate(state, sim.X, (3,))
+        with pytest.raises(sim.TargetOutOfRange):
+            sim.apply_gate(state, sim.X, (-1,))
+        with pytest.raises(sim.DuplicateTarget):
+            sim.apply_gate(state, sim.CNOT, (1, 1))
+        with pytest.raises(sim.DimensionMismatch):
+            sim.apply_gate(state, sim.CNOT, (1,))
+        with pytest.raises(sim.DimensionMismatch):
+            sim.apply_gate(state, np.eye(3, dtype=complex), (0,))
+    with pytest.raises(sim.DimensionMismatch):
+        sim.apply_gate(np.zeros((6, 2), dtype=complex), sim.X, (0,))
+    with pytest.raises(sim.DimensionMismatch):
+        sim.apply_gate(np.zeros((2, 2, 2), dtype=complex), sim.X, (0,))
 
 
 def test_apply_gate_preserves_norm():

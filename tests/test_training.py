@@ -17,7 +17,7 @@ from qcnnlab.training import (
     accuracy,
     adam_step,
     batch_p1s,
-    evaluate,
+    fit,
     format_metrics,
     grad_exact,
     grad_fd,
@@ -88,8 +88,6 @@ def test_config_validation():
         TrainConfig(epochs=0)
     with pytest.raises(TrainingError):
         TrainConfig(epochs=1, lr_decay=1.0)
-    with pytest.raises(TrainingError):
-        TrainConfig(epochs=1, batch="minibatch")
 
 
 # ---------------------------------------------------------------------------
@@ -293,14 +291,34 @@ def test_training_rejects_nonbinary_labels():
 
 
 def test_evaluate_returns_loss_and_accuracy():
+    """Each metrics row scores the clean sets with the parameters after its step."""
     rng = np.random.default_rng(14)
-    arch = build_architecture(4, 1)
-    params = init_params(arch, 0)
-    images = _random_images(rng, 4, 5)
-    labels = [0, 1, 0, 1, 0]
-    loss, acc = evaluate(arch, params, images, labels)
-    assert loss >= 0.0
-    assert 0.0 <= acc <= 1.0
+    train, test = _toy_sets(rng)
+    arch = build_architecture(6, 1)
+    cfg = TrainConfig(epochs=2, seed=4)
+    rows, _ = train_qcnn(arch, train, test, cfg, augment_cfg=AugmentConfig(rotation=True))
+    _, params = train_qcnn(arch, train, test, TrainConfig(epochs=1, seed=4),
+                           augment_cfg=AugmentConfig(rotation=True))
+    for data, loss, acc in ((train, rows[0].train_loss, rows[0].train_acc),
+                            (test, rows[0].test_loss, rows[0].test_acc)):
+        p1s = batch_p1s(arch, params, data.images())
+        assert loss == mse_loss(p1s, data.labels()) and loss >= 0.0
+        assert acc == accuracy(p1s, data.labels()) and 0.0 <= acc <= 1.0
+
+
+def test_divergent_step_raises_training_error():
+    train, test = _toy_sets(np.random.default_rng(15))
+    cfg = TrainConfig(epochs=3, seed=2)
+    finite_scores = lambda p, xs, ys: [(0.25, 0.5)] * len(xs)
+    with pytest.raises(TrainingError, match="seed 2, epoch 0, lr 0.1"):
+        fit(np.zeros(3), train, test, cfg, None, encode=list,
+            grad=lambda p, x, y: np.full_like(p, np.nan), scores=finite_scores)
+    with pytest.raises(TrainingError, match="seed 2, epoch 0, lr 0.1"):
+        fit(np.zeros(3), train, test, cfg, None, encode=list, grad=lambda p, x, y: p + 1,
+            scores=lambda p, xs, ys: [(0.25, 0.5), (np.inf, 0.5)])
+    rows, _ = fit(np.zeros(3), train, test, cfg, None, encode=list,
+                  grad=lambda p, x, y: p + 1, scores=finite_scores)
+    assert len(rows) == 3
 
 
 # ---------------------------------------------------------------------------
