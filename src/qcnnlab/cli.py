@@ -35,7 +35,17 @@ from .harness import (
     resolve_config,
     run_experiment,
 )
-from .qcnn import QcnnError, build_architecture, forward, forward_branching
+from .qcnn import (
+    QcnnError,
+    build_architecture,
+    circuit_ops,
+    conv_block_ops,
+    flatten_block_ops,
+    forward,
+    forward_branching,
+    pool_block_ops,
+    split_params,
+)
 from .simulator import SimulatorError, apply_gate, dense_circuit_oracle, ising_matrix, is_unitary, u3_matrix, zero_state
 from .training import TrainingError, adam_step, batch_p1s, grad_exact, grad_fd, lr_at, mse_loss, TrainConfig
 
@@ -148,6 +158,22 @@ def _check_dense_oracle():
         assert np.max(np.abs(state - dense)) < 1e-10
 
 
+def _check_fused_blocks():
+    rng = np.random.default_rng(6)
+    for n, d in ((4, 1), (6, 2)):
+        arch = build_architecture(n, d)
+        params = rng.uniform(-np.pi, np.pi, arch.param_count)
+        blocks, flat_w = split_params(arch, params)
+        per_gate = []
+        for depth, wires in enumerate(arch.active_wires):
+            per_gate += conv_block_ops(blocks[depth][0], wires, first_depth=(depth == 0))
+            per_gate += pool_block_ops(blocks[depth][1], wires)[0]
+        per_gate += flatten_block_ops(flat_w, arch.remaining_wires)
+        fused = dense_circuit_oracle([(op.matrix, op.targets) for op in circuit_ops(arch, params)], n)
+        unfused = dense_circuit_oracle([(op.matrix, op.targets) for op in per_gate], n)
+        assert np.max(np.abs(fused - unfused)) < 1e-10
+
+
 def _check_pooling_branches():
     rng = np.random.default_rng(2)
     arch = build_architecture(4, 1)
@@ -206,6 +232,7 @@ def _check_round_trips():
 _SELFTEST_CHECKS = (
     ("gate algebra", _check_gate_algebra),
     ("dense circuit oracle", _check_dense_oracle),
+    ("fused blocks match per-gate circuit", _check_fused_blocks),
     ("pooling branch equivalence", _check_pooling_branches),
     ("gradient engines agree", _check_gradients),
     ("augmentation bounds", _check_augment),

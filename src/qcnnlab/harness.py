@@ -19,7 +19,7 @@ import numpy as np
 from .augment import AugmentError, preset
 from .cnn import build_cnn, train_cnn
 from .datasets import Dataset, ImageSample, binary_subset, load_digits_csv, load_idx, load_pgm_dir, resize_area
-from .qcnn import build_architecture
+from .qcnn import QcnnError, build_architecture
 from .training import MetricsRow, TrainConfig, format_metrics, mean_metrics, train_qcnn
 
 
@@ -60,10 +60,19 @@ class ExperimentConfig:
             raise ConfigError("class_b and n_per_class must be nonempty")
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
+        if self.class_a in self.class_b:
+            raise ConfigError(f"class_a {self.class_a} also appears in class_b {self.class_b}")
+        if self.n_test % 2:
+            raise ConfigError(f"n_test {self.n_test} must be even for a balanced test set")
         try:
             preset(self.augment)
         except AugmentError as exc:
             raise ConfigError(str(exc)) from exc
+        if self.model == "qcnn":
+            try:
+                build_architecture(self.n_qubits, self.depth)
+            except QcnnError as exc:
+                raise ConfigError(str(exc)) from exc
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
@@ -188,6 +197,14 @@ def load_pool(cfg: ExperimentConfig) -> Dataset:
     return ds
 
 
+def _check_register(cfg: ExperimentConfig, pool: Dataset) -> None:
+    """A QCNN's 2**n_qubits amplitudes must hold every (resized) image."""
+    pixels = max((s.pixels.size for s in pool.samples), default=0)
+    if cfg.model == "qcnn" and pixels > 2**cfg.n_qubits:
+        raise ConfigError(f"{pixels} pixels per image need more than n_qubits = {cfg.n_qubits} "
+                          f"({2**cfg.n_qubits} amplitudes); raise n_qubits or set resize")
+
+
 def _train_one_rep(cfg: ExperimentConfig, pool: Dataset, class_b: int,
                    n_per_class: int, seed: int):
     train, test = binary_subset(pool, cfg.class_a, class_b, n_per_class,
@@ -255,6 +272,7 @@ def _write_run(dirpath: str, rr: RunResult) -> None:
 def run_experiment(cfg: ExperimentConfig, out_dir: str) -> list[RunResult]:
     """Train the full grid, then write per-rep curves, means, and the echo."""
     pool = load_pool(cfg)
+    _check_register(cfg, pool)
     results = _compute_experiment(cfg, pool)
     os.makedirs(out_dir, exist_ok=True)
     for rr in results:
@@ -314,6 +332,7 @@ def compare_da(cfg: ExperimentConfig, out_dir: str) -> ComparisonTable:
     da_cfg = replace(cfg, augment=aug_name)
 
     pool = load_pool(cfg)
+    _check_register(cfg, pool)
     no_results = _compute_experiment(no_cfg, pool)
     da_results = _compute_experiment(da_cfg, pool)
 

@@ -16,11 +16,19 @@ verification oracle only; nothing in the training path calls it.
 Parameters live in one flat vector: one 18-value block per depth
 (15 convolution angles, 3 pooling angles), then 4**r - 1 angles for the
 final layer, so the total is 18*d + 4**r - 1.
+
+The simulated circuit is a list of fused blocks (:func:`circuit_ops`): one
+4x4 matrix per convolution pair and per pooling pair, and one 2**r x 2**r
+matrix for the final layer, each carrying its derivative for every angle
+it depends on.  The per-gate builders (:func:`conv_block_ops`,
+:func:`pool_block_ops`, :func:`flatten_block_ops`) stay the one definition
+of the gates; a block is their product on local wires.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -115,42 +123,44 @@ def split_params(arch: Architecture, params) -> tuple[list[tuple[np.ndarray, np.
 
 @dataclass(frozen=True)
 class GateOp:
-    """One gate application; ``grads`` pairs parameter indices with dM/dtheta."""
+    """One gate or fused block applied to ``targets``.
+
+    ``grads`` is empty or a pair (parameter indices, dM/dtheta stacked as a
+    (P, k, k) array), one derivative per index; within one op the indices
+    are distinct.
+    """
 
     matrix: np.ndarray
     targets: tuple[int, ...]
-    grads: tuple[tuple[int, np.ndarray], ...] = ()
+    grads: tuple = ()
 
 
 def _u3_op(angles, wire, base, with_grads) -> GateOp:
     m = u3_matrix(*angles)
     if not with_grads:
         return GateOp(m, (wire,))
-    return GateOp(m, (wire,), tuple(zip(range(base, base + 3), u3_matrix_grads(*angles))))
+    return GateOp(m, (wire,), ((base, base + 1, base + 2), u3_matrix_grads(*angles)))
 
 
 def _controlled_u3_op(angles, control, target, base, with_grads) -> GateOp:
     m = controlled(u3_matrix(*angles))
     if not with_grads:
         return GateOp(m, (control, target))
-    grads = []
-    for k, dm in enumerate(u3_matrix_grads(*angles)):
-        big = np.zeros((4, 4), dtype=np.complex128)
-        big[2:, 2:] = dm
-        grads.append((base + k, big))
-    return GateOp(m, (control, target), tuple(grads))
+    big = np.zeros((3, 4, 4), dtype=np.complex128)
+    big[:, 2:, 2:] = u3_matrix_grads(*angles)
+    return GateOp(m, (control, target), ((base, base + 1, base + 2), big))
 
 
 def _ising_op(kind, theta, pair, idx, with_grads) -> GateOp:
     m = ising_matrix(kind, theta)
     if not with_grads:
         return GateOp(m, pair)
-    return GateOp(m, pair, ((idx, ising_matrix_grad(kind, theta)),))
+    return GateOp(m, pair, ((idx,), ising_matrix_grad(kind, theta)[None]))
 
 
 def conv_block_ops(weights15, wires, first_depth: bool, base: int = 0,
                    with_grads: bool = False) -> list[GateOp]:
-    """Shared-parameter convolution over adjacent pairs of ``wires``.
+    """Shared-parameter convolution over adjacent pairs of ``wires``, gate by gate.
 
     Two sub-rounds cover even-offset then odd-offset pairs.  Every pair gets
     the Ising XX/YY/ZZ rotations (weights 6..8) followed by a one-qubit
@@ -206,10 +216,13 @@ def pauli_word(index: int, r: int) -> str:
     return "".join(reversed(digits))
 
 
+@lru_cache(maxsize=None)
 def pauli_word_matrix(word: str) -> np.ndarray:
+    """Kronecker product of the word's Paulis, built once per word (read-only)."""
     m = np.array([[1]], dtype=np.complex128)
     for ch in word:
         m = np.kron(m, PAULIS[ch])
+    m.setflags(write=False)
     return m
 
 
@@ -227,9 +240,9 @@ def pauli_rotation_grad(word: str, theta: float) -> np.ndarray:
 
 
 def flatten_block_ops(weights, wires, base: int = 0, with_grads: bool = False) -> list[GateOp]:
-    """Universal layer on the survivors: one rotation per nonidentity Pauli
-    word over the r wires, in base-4 counting order (leftmost digit is the
-    lowest-indexed wire), 4**r - 1 rotations in total.
+    """Universal layer on the survivors, gate by gate: one rotation per
+    nonidentity Pauli word over the r wires, in base-4 counting order
+    (leftmost digit is the lowest-indexed wire), 4**r - 1 rotations in total.
     """
     r = len(wires)
     w = np.asarray(weights, dtype=np.float64)
@@ -240,24 +253,99 @@ def flatten_block_ops(weights, wires, base: int = 0, with_grads: bool = False) -
     for k in range(1, 4**r):
         word = pauli_word(k, r)
         m = pauli_rotation(word, w[k - 1])
-        grads = ((base + k - 1, pauli_rotation_grad(word, w[k - 1])),) if with_grads else ()
+        grads = ((base + k - 1,), pauli_rotation_grad(word, w[k - 1])[None]) if with_grads else ()
         ops.append(GateOp(m, targets, grads))
     return ops
 
 
+# ---------------------------------------------------------------------------
+# fused blocks
+# ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=None)
+def _embedding_index(local_targets: tuple[int, ...], k: int):
+    """Where each entry of a gate on ``local_targets`` lands in a k-wire block.
+
+    Block wire p is bit k-1-p of the block's index (wire 0 most
+    significant).  Returns (rows, cols, gate_rows, gate_cols) for
+    ``block[rows, cols] = gate[gate_rows, gate_cols]``.
+    """
+    rest = tuple(p for p in range(k) if p not in local_targets)
+
+    def place(values, wires):
+        out = np.zeros_like(values)
+        for j, p in enumerate(wires):
+            out |= ((values >> (len(wires) - 1 - j)) & 1) << (k - 1 - p)
+        return out
+
+    g = np.arange(2 ** len(local_targets))
+    gi, gj, s = (a.reshape(-1) for a in np.meshgrid(g, g, np.arange(2 ** len(rest)), indexing="ij"))
+    spectator = place(s, rest)
+    return place(gi, local_targets) | spectator, place(gj, local_targets) | spectator, gi, gj
+
+
+def _embed(m: np.ndarray, local_targets: tuple[int, ...], k: int) -> np.ndarray:
+    """A gate (or a stack of them) on ``local_targets`` as 2**k x 2**k blocks."""
+    if local_targets == tuple(range(k)):
+        return m
+    rows, cols, gi, gj = _embedding_index(local_targets, k)
+    out = np.zeros(m.shape[:-2] + (2**k, 2**k), dtype=np.complex128)
+    out[..., rows, cols] = m[..., gi, gj]
+    return out
+
+
+def _fuse(ops, k: int, with_grads: bool) -> GateOp:
+    """Multiply per-gate ``ops`` on local wires 0..k-1 into one block.
+
+    Local wire p becomes the block's p-th target.  With ``with_grads``, the
+    derivative for a parameter of gate j is (gates after j) dG_j (gates
+    before j), taken from prefix and suffix products.
+    """
+    dim = 2**k
+    mats = [_embed(op.matrix, op.targets, k) for op in ops]
+    prefix = [np.eye(dim, dtype=np.complex128)]
+    for m in mats:
+        prefix.append(m @ prefix[-1])
+    local = tuple(range(k))
+    if not with_grads:
+        return GateOp(prefix[-1], local)
+    suffix = np.eye(dim, dtype=np.complex128)
+    index, derivs = [], []
+    for j in range(len(ops) - 1, -1, -1):
+        pidx, dstack = ops[j].grads
+        index.extend(pidx)
+        derivs.append(suffix @ _embed(dstack, ops[j].targets, k) @ prefix[j])
+        suffix = suffix @ mats[j]
+    return GateOp(prefix[-1], local, (np.array(index), np.concatenate(derivs)))
+
+
 def circuit_ops(arch: Architecture, params, with_grads: bool = False) -> list[GateOp]:
-    """The full gate sequence for one forward pass, embedding excluded."""
+    """The circuit for one forward pass as fused blocks, embedding excluded.
+
+    One 4x4 block per convolution pair, one per pooling pair and one
+    2**r x 2**r block for the final layer.  Each distinct block is built once
+    from the per-gate ops on local wires (0, 1) (the readout layer on
+    0..r-1) and shared by every pair it acts on: the first depth has a
+    conv block with head unitaries for the even-offset pairs and one
+    without for the odd-offset pairs; later depths have one conv block.
+    """
     blocks, flat_w = split_params(arch, params)
+    pair = (0, 1)
     ops: list[GateOp] = []
     for d, wires in enumerate(arch.active_wires):
         base = BLOCK_WEIGHTS * d
-        ops += conv_block_ops(blocks[d][0], wires, first_depth=(d == 0),
-                              base=base, with_grads=with_grads)
-        pool_ops, _ = pool_block_ops(blocks[d][1], wires, base=base + CONV_WEIGHTS,
-                                     with_grads=with_grads)
-        ops += pool_ops
-    ops += flatten_block_ops(flat_w, arch.remaining_wires,
-                             base=BLOCK_WEIGHTS * arch.depth, with_grads=with_grads)
+        conv_w, pool_w = blocks[d]
+        plain = _fuse(conv_block_ops(conv_w, pair, False, base, with_grads), 2, with_grads)
+        head = _fuse(conv_block_ops(conv_w, pair, True, base, with_grads), 2, with_grads) if d == 0 else plain
+        for parity, block in ((0, head), (1, plain)):
+            ops += [replace(block, targets=(wires[i], wires[i + 1]))
+                    for i in range(parity, len(wires) - 1, 2)]
+        pool = _fuse(pool_block_ops(pool_w, pair, base + CONV_WEIGHTS, with_grads)[0], 2, with_grads)
+        ops += [replace(pool, targets=(wires[j - 1], wires[j])) for j in range(1, len(wires), 2)]
+    r = len(arch.remaining_wires)
+    readout = _fuse(flatten_block_ops(flat_w, tuple(range(r)), BLOCK_WEIGHTS * arch.depth, with_grads),
+                    r, with_grads)
+    ops.append(replace(readout, targets=arch.remaining_wires))
     return ops
 
 
@@ -286,11 +374,6 @@ def forward(arch: Architecture, params, pixels) -> float:
     """Class-1 probability of one image: embed, run the circuit, read out."""
     _, p1s = run_columns(arch, circuit_ops(arch, params), embed_columns([pixels], arch.n_qubits))
     return float(p1s[0])
-
-
-def predict(p1: float) -> int:
-    """Class decision from the readout probability; ties go to class 0."""
-    return 1 if p1 > 0.5 else 0
 
 
 # ---------------------------------------------------------------------------

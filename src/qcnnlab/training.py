@@ -2,10 +2,13 @@
 
 :func:`fit` is the one epoch loop: full-batch Adam with the learning rate
 starting at 0.1 and decaying 5% per epoch.  The QCNN gradient engine is
-exact: a reverse sweep over the gate sequence accumulates d(loss)/d(angle)
-from the closed-form gate derivatives, checked against a central
-finite-difference oracle.  Batches are evolved as columns of one matrix so
-an epoch is a few dozen small matmuls rather than a Python loop over samples.
+exact, after the adjoint method of Jones & Gacon (arXiv:2009.02823): a
+reverse sweep over the fused blocks folds the bra and ket of the whole
+batch into one small environment matrix per block and reads every
+d(loss)/d(angle) of that block off it with the closed-form block
+derivatives; a central finite-difference oracle checks it.  Batches are
+evolved as columns of one matrix, so an epoch is a few dozen small matmuls
+rather than a Python loop over samples.
 """
 
 from __future__ import annotations
@@ -15,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .augment import AugmentConfig, augment_sample
-from .qcnn import Architecture, circuit_ops, embed_columns, predict, run_columns
-from .simulator import _apply_gate
+from .qcnn import Architecture, circuit_ops, embed_columns, run_columns
+from .simulator import _row_order
 
 
 class TrainingError(ValueError):
@@ -80,12 +83,12 @@ def mse_loss(p1s, labels) -> float:
 
 
 def accuracy(p1s, labels) -> float:
+    """Share of samples whose class decision p1 > 0.5 matches the label; ties go to class 0."""
     p1s = np.asarray(p1s, dtype=np.float64).reshape(-1)
     labels = np.asarray(labels).reshape(-1)
     if p1s.size != labels.size:
         raise LengthMismatch(f"{p1s.size} probabilities vs {labels.size} labels")
-    hits = [predict(p) == y for p, y in zip(p1s, labels)]
-    return float(np.mean(hits))
+    return float(np.mean((p1s > 0.5) == labels))
 
 
 def lr_at(epoch: int, cfg: TrainConfig) -> float:
@@ -122,33 +125,38 @@ def grad_fd(loss_fn, params, step: float = 1e-4) -> np.ndarray:
 
 
 def _grad_columns(arch: Architecture, params, cols: np.ndarray, labels) -> np.ndarray:
-    """Exact MSE gradient via a reverse sweep with closed-form dU/dtheta.
+    """Exact MSE gradient via a reverse sweep with local environments.
 
-    Forward gives phi = U_L ... U_1 psi and p1 = <phi|P1|phi>.  Sweeping
-    j = L..1 with bra = (U_L ... U_{j+1})^dag P1 phi and ket the state
-    entering gate j, each parameter entry contributes
-    2 Re <bra| dU_j |ket> to dp1/dtheta.  Loss chain rule folds in
-    2 (p1 - y) / m per sample; shared parameters accumulate over every
-    gate they drive.
+    Forward gives phi = U_L ... U_1 psi and p1 = <phi|P1|phi> per column.
+    The loss chain rule weights column s by c_s = 2 (p1_s - y_s) / m, so
+    the sweep starts from bra = P1 phi c.  Sweeping blocks j = L..1, with
+    bra = (U_L ... U_{j+1})^dag P1 phi c and ket the state entering block j,
+    both with the block's target bits gathered into the rows, the block's
+    environment E = ket @ bra^H contracts every other wire and the batch
+    into a k x k matrix, and dL/dtheta = 2 Re tr(dU_j/dtheta E) for all of
+    the block's parameters at once.  Shared parameters accumulate over
+    every block they drive.
     """
     n = arch.n_qubits
     labels = np.asarray(labels, dtype=np.float64).reshape(-1)
     ops = circuit_ops(arch, params, with_grads=True)
-    phi, p1s = run_columns(arch, ops, cols)
-    coef = 2.0 * (p1s - labels) / labels.size
-
-    mask = ((np.arange(phi.shape[0]) >> arch.readout_wire) & 1).astype(np.float64)
-    bra = phi * mask[:, None]
-    ket = phi
+    ket, p1s = run_columns(arch, ops, cols)
+    bra = ket * (2.0 * (p1s - labels) / labels.size)
+    bra[((np.arange(len(bra)) >> arch.readout_wire) & 1) == 0] = 0
     grads = np.zeros(arch.param_count, dtype=np.float64)
     for op in reversed(ops):
+        order, inverse = _row_order(op.targets, n)
         inv = op.matrix.conj().T
-        ket = _apply_gate(ket, inv, op.targets, n)
-        for pidx, dm in op.grads:
-            d = _apply_gate(ket, dm, op.targets, n)
-            dp1 = 2.0 * np.real(np.sum(np.conj(bra) * d, axis=0))
-            grads[pidx] += float(np.dot(coef, dp1))
-        bra = _apply_gate(bra, inv, op.targets, n)
+        ket = inv @ ket[order].reshape(len(inv), -1)
+        rows = bra[order].reshape(len(inv), -1)
+        del bra
+        bra = inv @ rows
+        env = ket @ np.conjugate(rows, out=rows).T
+        del rows
+        index, derivs = op.grads
+        grads[index] += 2.0 * np.real(derivs.reshape(len(index), -1) @ env.T.reshape(-1))
+        ket = ket.reshape(cols.shape)[inverse]
+        bra = bra.reshape(cols.shape)[inverse]
     return grads
 
 
@@ -229,8 +237,10 @@ def fit(params, train_set, test_set, cfg: TrainConfig, augment_cfg: AugmentConfi
         else:
             batch = clean[0]
         lr = lr_at(epoch, cfg)
-        params, moments = adam_step(params, grad(params, batch, labels[0]), moments, epoch + 1, lr)
-        (tr_loss, tr_acc), (te_loss, te_acc) = scores(params, clean, labels)
+        # a diverging step overflows; the finiteness check below reports it
+        with np.errstate(over="ignore", invalid="ignore"):
+            params, moments = adam_step(params, grad(params, batch, labels[0]), moments, epoch + 1, lr)
+            (tr_loss, tr_acc), (te_loss, te_acc) = scores(params, clean, labels)
         if not (np.all(np.isfinite(params)) and np.isfinite(tr_loss) and np.isfinite(te_loss)):
             raise TrainingError(f"training diverged: non-finite parameters or loss after the step "
                                 f"at seed {cfg.seed}, epoch {epoch}, lr {lr:g}")

@@ -1,6 +1,7 @@
 """Tests for config handling, the experiment runner, and the CLI."""
 
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -256,14 +257,47 @@ def test_cli_train_cnn_end_to_end(tmp_path):
 
 def test_cli_divergent_cnn_is_numeric_failure_and_writes_nothing(tmp_path, capsys):
     out = tmp_path / "run"
-    code = main(["train-cnn", "--out", str(out), "--data-path", DIGITS, "--lr0", "1e308",
-                 "--epochs", "2", "--repetitions", "1", "--threads", "1"])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["train-cnn", "--out", str(out), "--data-path", DIGITS, "--lr0", "1e308",
+                     "--epochs", "2", "--repetitions", "1", "--threads", "1"])
     captured = capsys.readouterr()
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert "RuntimeWarning" not in captured.err
     assert code == 3
     assert "non-finite" in captured.err
     assert "seed 0, epoch 0, lr 1e+308" in captured.err
     assert "mean final test acc" not in captured.out
     assert not out.exists()
+
+
+def _rejected_up_front(tmp_path, capsys, *flags):
+    out = tmp_path / "run"
+    code = main(["train-qcnn", "--out", str(out), "--data-path", DIGITS, "--n-per-class", "3",
+                 "--epochs", "1", "--repetitions", "1", *flags])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert not out.exists()
+    return err
+
+
+def test_cli_infeasible_architecture_is_config_error(tmp_path, capsys):
+    assert "at least 2 qubits" in _rejected_up_front(tmp_path, capsys, "--n-qubits", "1")
+    assert "exhausts" in _rejected_up_front(tmp_path, capsys, "--n-qubits", "2", "--depth", "2")
+
+
+def test_cli_register_too_small_for_images_is_config_error(tmp_path, capsys):
+    assert "64 pixels" in _rejected_up_front(tmp_path, capsys, "--n-qubits", "5", "--depth", "1")
+    assert "16 pixels" in _rejected_up_front(tmp_path, capsys, "--n-qubits", "3", "--depth", "1",
+                                             "--resize", "4")
+
+
+def test_cli_class_a_in_class_b_is_config_error(tmp_path, capsys):
+    assert "class_a 0" in _rejected_up_front(tmp_path, capsys, "--class-b", "1,0")
+
+
+def test_cli_odd_n_test_is_config_error(tmp_path, capsys):
+    assert "n_test 7" in _rejected_up_front(tmp_path, capsys, "--n-test", "7")
 
 
 def test_cli_compare_da_end_to_end(tmp_path, capsys):

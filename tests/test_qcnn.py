@@ -220,6 +220,70 @@ def test_flatten_weight_length_checked():
 
 
 # ---------------------------------------------------------------------------
+# fused blocks
+# ---------------------------------------------------------------------------
+
+def per_gate_ops(arch, params):
+    """The circuit gate by gate over every pair: the sequence circuit_ops fuses."""
+    blocks, flat_w = qcnn.split_params(arch, params)
+    ops = []
+    for d, wires in enumerate(arch.active_wires):
+        ops += qcnn.conv_block_ops(blocks[d][0], wires, first_depth=(d == 0))
+        ops += qcnn.pool_block_ops(blocks[d][1], wires)[0]
+    return ops + qcnn.flatten_block_ops(flat_w, arch.remaining_wires)
+
+
+def test_fused_circuit_matches_per_gate_sequence_in_dense_oracle():
+    rng = np.random.default_rng(31)
+    for n, d in ((2, 0), (3, 1), (4, 1), (5, 2), (6, 2), (8, 2)):
+        arch = qcnn.build_architecture(n, d)
+        for _ in range(3):
+            params = rng.uniform(-np.pi, np.pi, arch.param_count)
+            fused = qcnn.circuit_ops(arch, params)
+            want = sim.dense_circuit_oracle([(op.matrix, op.targets) for op in per_gate_ops(arch, params)], n)
+            got = sim.dense_circuit_oracle([(op.matrix, op.targets) for op in fused], n)
+            np.testing.assert_allclose(got, want, atol=1e-10)
+
+
+def test_fused_circuit_matches_per_gate_sequence_at_ten_qubits():
+    rng = np.random.default_rng(32)
+    arch = qcnn.build_architecture(10, 2)
+    for _ in range(3):
+        params = rng.uniform(-np.pi, np.pi, arch.param_count)
+        states = np.stack([random_state(10, rng) for _ in range(4)], axis=1)
+        np.testing.assert_allclose(apply_ops(states, qcnn.circuit_ops(arch, params)),
+                                   apply_ops(states, per_gate_ops(arch, params)), atol=1e-10)
+
+
+def test_block_counts():
+    # conv pairs + pooling pairs per depth, plus one readout block
+    for (n, d), blocks, gates in (((6, 2), 12, 60), ((10, 2), 21, 145)):
+        arch = qcnn.build_architecture(n, d)
+        params = np.zeros(arch.param_count)
+        assert len(qcnn.circuit_ops(arch, params)) == blocks
+        assert len(per_gate_ops(arch, params)) == gates
+    arch = qcnn.build_architecture(10, 2)
+    readout = qcnn.circuit_ops(arch, np.zeros(arch.param_count))[-1]
+    assert readout.targets == (0, 4, 8) and readout.matrix.shape == (8, 8)
+
+
+def test_fused_block_derivatives_match_finite_differences():
+    rng = np.random.default_rng(33)
+    arch = qcnn.build_architecture(4, 1)
+    params = rng.uniform(-np.pi, np.pi, arch.param_count)
+    step = 1e-6
+    for j, op in enumerate(qcnn.circuit_ops(arch, params, with_grads=True)):
+        index, derivs = op.grads
+        assert len(set(index.tolist())) == len(index)
+        for p, dm in zip(index, derivs):
+            up, down = params.copy(), params.copy()
+            up[p] += step
+            down[p] -= step
+            fd = (qcnn.circuit_ops(arch, up)[j].matrix - qcnn.circuit_ops(arch, down)[j].matrix) / (2 * step)
+            np.testing.assert_allclose(dm, fd, atol=1e-8)
+
+
+# ---------------------------------------------------------------------------
 # forward pass
 # ---------------------------------------------------------------------------
 
@@ -259,9 +323,3 @@ def test_zero_parameter_circuit_reads_embedded_marginal():
     p1 = qcnn.forward(arch, np.zeros(arch.param_count), pixels)
     embedded = amplitude_embed(pixels, 4)
     assert abs(p1 - sim.readout_prob_one(embedded, arch.readout_wire)) < 1e-12
-
-
-def test_predict_thresholds():
-    assert qcnn.predict(0.9) == 1
-    assert qcnn.predict(0.1) == 0
-    assert qcnn.predict(0.5) == 0

@@ -182,6 +182,26 @@ def test_apply_gate_on_columns_errors_match_single_state():
         sim.apply_gate(np.zeros((2, 2, 2), dtype=complex), sim.X, (0,))
 
 
+def random_unitary(dim, rng=RNG):
+    q, r = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def test_apply_gate_row_order_matches_dense_oracle_for_1_2_3_targets():
+    for _ in range(30):
+        n = int(RNG.integers(3, 7))
+        for k in (1, 2, 3):
+            g = random_unitary(2**k)
+            targets = tuple(int(q) for q in RNG.permutation(n)[:k])
+            dense = sim.dense_circuit_oracle([(g, targets)], n)
+            state = random_state(n)
+            np.testing.assert_allclose(sim.apply_gate(state, g, targets), dense @ state, atol=1e-10)
+            states = np.stack([random_state(n) for _ in range(4)], axis=1)
+            got = sim.apply_gate(states, g, targets)
+            assert got.shape == states.shape
+            np.testing.assert_allclose(got, dense @ states, atol=1e-10)
+
+
 def test_apply_gate_preserves_norm():
     for _ in range(50):
         state = random_state(5)

@@ -132,6 +132,17 @@ def test_exact_matches_fd_on_random_instances():
     assert worst < 1e-6, f"worst gradient discrepancy {worst}"
 
 
+def test_exact_matches_fd_at_ten_qubits():
+    rng = np.random.default_rng(2025)
+    arch = build_architecture(10, 2)
+    params = rng.uniform(-np.pi, np.pi, arch.param_count)
+    images = _random_images(rng, 10, 3)
+    labels = [0, 1, 1]
+    exact = grad_exact(arch, params, images, labels)
+    fd = grad_fd(lambda p: mse_loss(batch_p1s(arch, p, images), labels), params)
+    assert np.max(np.abs(exact - fd)) < 1e-6
+
+
 def test_exact_zero_at_stationary_point():
     """Labels equal to the model's own outputs put the loss at its minimum."""
     rng = np.random.default_rng(5)
