@@ -5,6 +5,11 @@ outside the frame), and contrast scaling about the image mean.  Recipes:
 photographic datasets get flip + rotation, the hand-written digits get
 rotation + contrast.  Transforms run in the fixed order
 flip -> rotate -> contrast; test data is never augmented.
+
+:func:`augment_batch` augments a whole (m, h, w) stack in one array pass
+(one draw call, flat-index bilinear gathers), which is how training
+redraws its batch every epoch; :func:`rotate`, :func:`contrast` and
+:func:`augment_sample` are one-image calls of the same kernel.
 """
 
 from __future__ import annotations
@@ -66,8 +71,54 @@ def preset(name: str) -> AugmentConfig:
 
 
 def flip_h(img: np.ndarray) -> np.ndarray:
-    """Mirror left-right: pixel (x, y) -> (W-1-x, y)."""
-    return np.ascontiguousarray(np.asarray(img)[:, ::-1])
+    """Mirror left-right: pixel (x, y) -> (W-1-x, y); a stack flips image by image."""
+    return np.ascontiguousarray(np.asarray(img)[..., ::-1])
+
+
+def _transform(images: np.ndarray, flips=None, angles=None, factors=None) -> np.ndarray:
+    """Flip, rotate, then contrast-scale every image of an (m, h, w) float64 stack.
+
+    ``flips`` (bool), ``angles`` (radians) and ``factors`` give one value per
+    image; None skips that transform.  Rotation turns each image about its
+    center with bilinear interpolation, reading samples outside the frame
+    as 0; contrast scales deviations from each image's mean.  Both clamp
+    their output to [0, 1].  This is the one implementation behind every
+    public transform.
+    """
+    out = images
+    m, h, w = out.shape
+    if flips is not None:
+        out = np.where(flips[:, None, None], flip_h(out), out)
+    if angles is not None:
+        # inverse map: source coordinates that land on each output pixel
+        cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
+        dy, dx = np.arange(h)[:, None] - cy, np.arange(w)[None, :] - cx
+        c, s = np.cos(angles)[:, None, None], np.sin(angles)[:, None, None]
+        src_x = cx + c * dx + s * dy
+        src_y = cy - s * dx + c * dy
+        x0 = np.floor(src_x).astype(int)
+        y0 = np.floor(src_y).astype(int)
+        fx, fy = src_x - x0, src_y - y0
+        flat = out.reshape(-1)
+        first = (np.arange(m) * (h * w))[:, None, None]
+
+        def sample(yy, xx):
+            inside = (yy >= 0) & (yy < h) & (xx >= 0) & (xx < w)
+            return np.where(inside, flat[np.where(inside, first + yy * w + xx, 0)], 0.0)
+
+        out = ((1 - fy) * (1 - fx) * sample(y0, x0)
+               + (1 - fy) * fx * sample(y0, x0 + 1)
+               + fy * (1 - fx) * sample(y0 + 1, x0)
+               + fy * fx * sample(y0 + 1, x0 + 1))
+        out = np.clip(out, 0.0, 1.0)
+    if factors is not None:
+        mean = out.reshape(m, -1).mean(axis=1)[:, None, None]
+        out = np.clip(mean + factors[:, None, None] * (out - mean), 0.0, 1.0)
+    return out
+
+
+def _one(img) -> np.ndarray:
+    return np.asarray(img, dtype=np.float64)[None]
 
 
 def rotate(img: np.ndarray, angle: float, max_angle: float = DEFAULT_MAX_ROTATION) -> np.ndarray:
@@ -77,31 +128,7 @@ def rotate(img: np.ndarray, angle: float, max_angle: float = DEFAULT_MAX_ROTATIO
     """
     if abs(angle) > max_angle + 1e-12:
         raise AngleOutOfBounds(f"|{angle}| exceeds the {max_angle} radian bound")
-    img = np.asarray(img, dtype=np.float64)
-    h, w = img.shape
-    cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
-    ys, xs = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
-    # inverse map: source coordinates that land on each output pixel
-    dy, dx = ys - cy, xs - cx
-    c, s = np.cos(angle), np.sin(angle)
-    src_x = cx + c * dx + s * dy
-    src_y = cy - s * dx + c * dy
-
-    x0 = np.floor(src_x).astype(int)
-    y0 = np.floor(src_y).astype(int)
-    fx, fy = src_x - x0, src_y - y0
-
-    def sample(yy, xx):
-        inside = (yy >= 0) & (yy < h) & (xx >= 0) & (xx < w)
-        out = np.zeros_like(src_x)
-        out[inside] = img[yy[inside], xx[inside]]
-        return out
-
-    out = ((1 - fy) * (1 - fx) * sample(y0, x0)
-           + (1 - fy) * fx * sample(y0, x0 + 1)
-           + fy * (1 - fx) * sample(y0 + 1, x0)
-           + fy * fx * sample(y0 + 1, x0 + 1))
-    return np.clip(out, 0.0, 1.0)
+    return _transform(_one(img), angles=np.array([angle], dtype=np.float64))[0]
 
 
 def contrast(img: np.ndarray, factor: float,
@@ -110,27 +137,38 @@ def contrast(img: np.ndarray, factor: float,
     lo, hi = factor_range
     if not lo <= factor <= hi:
         raise FactorOutOfBounds(f"factor {factor} outside [{lo}, {hi}]")
-    img = np.asarray(img, dtype=np.float64)
-    mean = img.mean()
-    return np.clip(mean + factor * (img - mean), 0.0, 1.0)
+    return _transform(_one(img), factors=np.array([factor], dtype=np.float64))[0]
+
+
+def augment_batch(images, cfg: AugmentConfig, rng: np.random.Generator):
+    """One freshly randomized pass over the enabled transforms for every image.
+
+    ``images`` is an (m, h, w) stack or a list of equal-shape images; the
+    result is an (m, h, w) float64 array.  Per image, flip fires with
+    probability 1/2 and the angle and contrast factor are uniform over the
+    configured bounds.  One ``rng.random((m, k))`` call draws them all, k
+    being the number of enabled transforms, image by image in the order
+    flip, angle, contrast: the same stream and values as k scalar draws per
+    image, since ``Generator.uniform(low, high)`` is ``low + (high - low) * u``.
+    Disabled transforms draw nothing, so an all-disabled config returns
+    ``images`` itself.
+    """
+    if not cfg.enabled:
+        return images
+    stack = np.asarray(images, dtype=np.float64)
+    draws = iter(rng.random((len(stack), cfg.flip_horizontal + cfg.rotation + cfg.contrast)).T)
+
+    def uniform(low, high):
+        return low + (high - low) * next(draws)
+
+    flips = next(draws) < 0.5 if cfg.flip_horizontal else None
+    angles = uniform(-cfg.max_rotation, cfg.max_rotation) if cfg.rotation else None
+    factors = uniform(*cfg.contrast_range) if cfg.contrast else None
+    return _transform(stack, flips, angles, factors)
 
 
 def augment_sample(img: np.ndarray, cfg: AugmentConfig, rng: np.random.Generator) -> np.ndarray:
-    """One freshly randomized pass over the enabled transforms.
-
-    Flip fires with probability 1/2; the angle and contrast factor are drawn
-    uniformly from the configured bounds.  Disabled transforms draw nothing,
-    so an all-disabled config returns the input bitwise.
-    """
+    """:func:`augment_batch` for one image; an all-disabled config returns ``img`` itself."""
     if not cfg.enabled:
         return img
-    out = np.asarray(img, dtype=np.float64)
-    if cfg.flip_horizontal and rng.random() < 0.5:
-        out = flip_h(out)
-    if cfg.rotation:
-        angle = rng.uniform(-cfg.max_rotation, cfg.max_rotation)
-        out = rotate(out, angle, cfg.max_rotation)
-    if cfg.contrast:
-        lo, hi = cfg.contrast_range
-        out = contrast(out, rng.uniform(lo, hi), cfg.contrast_range)
-    return out
+    return augment_batch(_one(img), cfg, rng)[0]

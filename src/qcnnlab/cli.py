@@ -15,7 +15,7 @@ import tempfile
 
 import numpy as np
 
-from .augment import AugmentError, augment_sample, flip_h, preset
+from .augment import AugmentError, augment_batch, augment_sample, flip_h, preset
 from .datasets import (
     Dataset,
     DatasetError,
@@ -206,6 +206,15 @@ def _check_augment():
         assert out.min() >= 0.0 and out.max() <= 1.0
 
 
+def _check_batched_augment():
+    images = np.random.default_rng(7).random((12, 8, 8))
+    cfg = preset("digits")
+    batched, single = np.random.default_rng([7, 1]), np.random.default_rng([7, 1])
+    for _ in range(3):
+        one_by_one = np.stack([augment_sample(img, cfg, single) for img in images])
+        assert np.array_equal(augment_batch(images, cfg, batched), one_by_one)
+
+
 def _check_optimizer():
     params = np.array([0.5, -0.5])
     out, _ = adam_step(params, np.zeros(2), None, 1, 0.1)
@@ -236,6 +245,7 @@ _SELFTEST_CHECKS = (
     ("pooling branch equivalence", _check_pooling_branches),
     ("gradient engines agree", _check_gradients),
     ("augmentation bounds", _check_augment),
+    ("batched augmentation matches per-image draws", _check_batched_augment),
     ("optimizer", _check_optimizer),
     ("file round trips", _check_round_trips),
 )

@@ -2,7 +2,9 @@
 
 Amplitude embedding writes N normalized pixel values into the first N
 amplitudes of a 2**n register (zero-padded past the pixels), which is the
-encoding every experiment in this lab uses.
+encoding every experiment in this lab uses.  :func:`embed_columns`
+normalizes a whole stack of images in one pass; :func:`amplitude_embed` is
+its one-image call.
 """
 
 from __future__ import annotations
@@ -22,20 +24,31 @@ class RegisterTooSmall(EmbeddingError):
     pass
 
 
+def embed_columns(images, n_qubits: int) -> np.ndarray:
+    """Amplitude embeddings of a stack of images as the columns of a (2**n, m) matrix.
+
+    Column s holds image s flattened row-major and divided by its L2 norm,
+    zero past the pixels.  ``images`` is an array whose first axis runs over
+    the images, or a list of equal-size images.
+    """
+    values = np.asarray(images, dtype=np.float64)
+    values = values.reshape(len(values), -1)
+    dim = 2**n_qubits
+    if values.shape[1] > dim:
+        raise RegisterTooSmall(f"{values.shape[1]} pixels need more than {n_qubits} qubits")
+    # the 1-D norm is a dot product; norm(values, axis=1) sums in another order
+    norms = np.array([np.linalg.norm(row) for row in values])
+    if not norms.all():
+        raise AllZeroImage("cannot amplitude-embed an all-zero image")
+    states = np.zeros((dim, len(values)), dtype=np.complex128)
+    states[: values.shape[1]] = (values / norms[:, None]).T
+    return states
+
+
 def amplitude_embed(pixels, n_qubits: int) -> np.ndarray:
     """Normalize ``pixels`` into the amplitudes of an ``n_qubits`` register.
 
     amps[i] = pixels[i] / ||pixels|| for i < N, zero past that.  Pixels are
     flattened row-major if 2-D.
     """
-    values = np.asarray(pixels, dtype=np.float64).reshape(-1)
-    dim = 2**n_qubits
-    if len(values) > dim:
-        raise RegisterTooSmall(f"{len(values)} pixels need more than {n_qubits} qubits")
-    norm = np.linalg.norm(values)
-    if norm == 0.0:
-        raise AllZeroImage("cannot amplitude-embed an all-zero image")
-    state = np.zeros(dim, dtype=np.complex128)
-    state[: len(values)] = values / norm
-    return state
-
+    return embed_columns(np.asarray(pixels, dtype=np.float64).reshape(1, -1), n_qubits)[:, 0]

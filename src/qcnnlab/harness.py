@@ -64,6 +64,12 @@ class ExperimentConfig:
             raise ConfigError(f"class_a {self.class_a} also appears in class_b {self.class_b}")
         if self.n_test % 2:
             raise ConfigError(f"n_test {self.n_test} must be even for a balanced test set")
+        if not self.lr0 >= 0:
+            raise ConfigError(f"lr0 must be >= 0, got {self.lr0}")
+        if not 0 <= self.lr_decay < 1:
+            raise ConfigError(f"lr_decay must be in [0, 1), got {self.lr_decay}")
+        if self.resize < 0:
+            raise ConfigError(f"resize must be >= 0 (0 keeps the size), got {self.resize}")
         try:
             preset(self.augment)
         except AugmentError as exc:
@@ -191,6 +197,11 @@ def load_pool(cfg: ExperimentConfig) -> Dataset:
     else:
         ds = load_pgm_dir(cfg.data_path, {"cat": 0, "dog": 1})
     if cfg.resize:
+        for s in ds.samples:
+            h, w = s.pixels.shape
+            if h % cfg.resize or w % cfg.resize:
+                raise ConfigError(f"resize {cfg.resize} does not divide the {h}x{w} image size, "
+                                  f"so block averaging cannot reach {cfg.resize}x{cfg.resize}")
         ds = Dataset(tuple(ImageSample(resize_area(s.pixels, cfg.resize, cfg.resize),
                                        s.label) for s in ds.samples),
                      ds.class_names)

@@ -32,7 +32,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .embedding import amplitude_embed
+from .embedding import amplitude_embed, embed_columns
 from .simulator import (
     PAULIS,
     _apply_gate,
@@ -352,11 +352,6 @@ def circuit_ops(arch: Architecture, params, with_grads: bool = False) -> list[Ga
 # ---------------------------------------------------------------------------
 # forward pass
 # ---------------------------------------------------------------------------
-
-def embed_columns(images, n_qubits: int) -> np.ndarray:
-    """Amplitude embeddings stacked as the columns of a (2**n, m) matrix."""
-    return np.stack([amplitude_embed(img, n_qubits) for img in images], axis=1)
-
 
 def run_columns(arch: Architecture, ops, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Evolve every column of ``states`` through ``ops`` and read each out.

@@ -8,7 +8,11 @@ batch into one small environment matrix per block and reads every
 d(loss)/d(angle) of that block off it with the closed-form block
 derivatives; a central finite-difference oracle checks it.  Batches are
 evolved as columns of one matrix, so an epoch is a few dozen small matmuls
-rather than a Python loop over samples.
+rather than a Python loop over samples.  An epoch augments (if enabled)
+and embeds its batch in one array pass, and builds the circuit once: the
+blocks for the parameters after a step serve both that step's metrics and
+the next step's gradient, which without augmentation also reuses the
+metrics' train-set forward.
 """
 
 from __future__ import annotations
@@ -17,8 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .augment import AugmentConfig, augment_sample
-from .qcnn import Architecture, circuit_ops, embed_columns, run_columns
+from .augment import AugmentConfig, augment_batch
+from .embedding import embed_columns
+from .qcnn import Architecture, circuit_ops, run_columns
 from .simulator import _row_order
 
 
@@ -124,40 +129,83 @@ def grad_fd(loss_fn, params, step: float = 1e-4) -> np.ndarray:
     return grads
 
 
-def _grad_columns(arch: Architecture, params, cols: np.ndarray, labels) -> np.ndarray:
-    """Exact MSE gradient via a reverse sweep with local environments.
+class _Circuit:
+    """One repetition's QCNN at its latest parameter vector.
 
-    Forward gives phi = U_L ... U_1 psi and p1 = <phi|P1|phi> per column.
-    The loss chain rule weights column s by c_s = 2 (p1_s - y_s) / m, so
-    the sweep starts from bra = P1 phi c.  Sweeping blocks j = L..1, with
-    bra = (U_L ... U_{j+1})^dag P1 phi c and ket the state entering block j,
-    both with the block's target bits gathered into the rows, the block's
-    environment E = ket @ bra^H contracts every other wire and the batch
-    into a k x k matrix, and dL/dtheta = 2 Re tr(dU_j/dtheta E) for all of
-    the block's parameters at once.  Shared parameters accumulate over
-    every block they drive.
+    :func:`fit` scores the parameters after each step, and the next step's
+    gradient starts from those same parameters.  So the gradient-carrying
+    fused blocks are built once per parameter vector and serve both, and
+    the train-set forward of the scores pass is kept for the gradient: it
+    is the gradient's own forward whenever the batch is the clean train
+    set, i.e. without augmentation.  The blocks are keyed by the parameter
+    bytes and the kept forward by the batch object, and a new parameter
+    vector drops both, so a different vector or batch always recomputes.
     """
-    n = arch.n_qubits
-    labels = np.asarray(labels, dtype=np.float64).reshape(-1)
-    ops = circuit_ops(arch, params, with_grads=True)
-    ket, p1s = run_columns(arch, ops, cols)
-    bra = ket * (2.0 * (p1s - labels) / labels.size)
-    bra[((np.arange(len(bra)) >> arch.readout_wire) & 1) == 0] = 0
-    grads = np.zeros(arch.param_count, dtype=np.float64)
-    for op in reversed(ops):
-        order, inverse = _row_order(op.targets, n)
-        inv = op.matrix.conj().T
-        ket = inv @ ket[order].reshape(len(inv), -1)
-        rows = bra[order].reshape(len(inv), -1)
-        del bra
-        bra = inv @ rows
-        env = ket @ np.conjugate(rows, out=rows).T
-        del rows
-        index, derivs = op.grads
-        grads[index] += 2.0 * np.real(derivs.reshape(len(index), -1) @ env.T.reshape(-1))
-        ket = ket.reshape(cols.shape)[inverse]
-        bra = bra.reshape(cols.shape)[inverse]
-    return grads
+
+    def __init__(self, arch: Architecture):
+        self.arch = arch
+        self._key = None
+        self._ops = None
+        self._kept = None  # (train columns, final states, p1 per column)
+
+    def ops(self, params) -> list:
+        key = np.asarray(params, dtype=np.float64).tobytes()
+        if key != self._key:
+            self._key, self._ops, self._kept = key, circuit_ops(self.arch, params, with_grads=True), None
+        return self._ops
+
+    def scores(self, params, batches, labels):
+        """(loss, accuracy) on the train and the test columns; keeps the train forward."""
+        ops = self.ops(params)
+        (train, test), (y_train, y_test) = batches, labels
+        self._kept = None
+        # the test set first, so that only the train states stay alive
+        _, p1_test = run_columns(self.arch, ops, test)
+        ket, p1_train = run_columns(self.arch, ops, train)
+        self._kept = (train, ket, p1_train)
+        return [(mse_loss(p1_train, y_train), accuracy(p1_train, y_train)),
+                (mse_loss(p1_test, y_test), accuracy(p1_test, y_test))]
+
+    def grad(self, params, cols: np.ndarray, labels) -> np.ndarray:
+        """Exact MSE gradient via a reverse sweep with local environments.
+
+        Forward gives phi = U_L ... U_1 psi and p1 = <phi|P1|phi> per column.
+        The loss chain rule weights column s by c_s = 2 (p1_s - y_s) / m, so
+        the sweep starts from bra = P1 phi c.  Sweeping blocks j = L..1, with
+        bra = (U_L ... U_{j+1})^dag P1 phi c and ket the state entering block
+        j, both with the block's target bits gathered into the rows, the
+        block's environment E = ket @ bra^H contracts every other wire and
+        the batch into a k x k matrix, and dL/dtheta = 2 Re tr(dU_j/dtheta E)
+        for all of the block's parameters at once.  Shared parameters
+        accumulate over every block they drive.
+        """
+        n = self.arch.n_qubits
+        labels = np.asarray(labels, dtype=np.float64).reshape(-1)
+        ops = self.ops(params)
+        # take the kept forward out, so that the sweep frees it block by block
+        kept, self._kept = self._kept, None
+        if kept is not None and kept[0] is cols:
+            _, ket, p1s = kept
+        else:
+            ket, p1s = run_columns(self.arch, ops, cols)
+        del kept
+        bra = ket * (2.0 * (p1s - labels) / labels.size)
+        bra[((np.arange(len(bra)) >> self.arch.readout_wire) & 1) == 0] = 0
+        grads = np.zeros(self.arch.param_count, dtype=np.float64)
+        for op in reversed(ops):
+            order, inverse = _row_order(op.targets, n)
+            inv = op.matrix.conj().T
+            ket = inv @ ket[order].reshape(len(inv), -1)
+            rows = bra[order].reshape(len(inv), -1)
+            del bra
+            bra = inv @ rows
+            env = ket @ np.conjugate(rows, out=rows).T
+            del rows
+            index, derivs = op.grads
+            grads[index] += 2.0 * np.real(derivs.reshape(len(index), -1) @ env.T.reshape(-1))
+            ket = ket.reshape(cols.shape)[inverse]
+            bra = bra.reshape(cols.shape)[inverse]
+        return grads
 
 
 def grad_exact(arch: Architecture, params, images, labels) -> np.ndarray:
@@ -167,7 +215,7 @@ def grad_exact(arch: Architecture, params, images, labels) -> np.ndarray:
         raise EmptyBatch("gradient over an empty batch")
     if len(images) != labels.size:
         raise LengthMismatch(f"{len(images)} images vs {labels.size} labels")
-    return _grad_columns(arch, params, embed_columns(images, arch.n_qubits), labels)
+    return _Circuit(arch).grad(params, embed_columns(images, arch.n_qubits), labels)
 
 
 # ---------------------------------------------------------------------------
@@ -219,9 +267,10 @@ def fit(params, train_set, test_set, cfg: TrainConfig, augment_cfg: AugmentConfi
     The model supplies ``encode(images)``, its input for a list of images,
     ``grad(params, batch, labels)`` and ``scores(params, batches, labels)``,
     one (loss, accuracy) per batch.  Augmentation, when enabled, redraws the
-    training images every epoch from a stream seeded by [seed, 1]; gradients
-    see the augmented batch, metrics the clean sets after the step.  A step
-    that leaves a non-finite parameter or loss raises TrainingError.
+    training images every epoch in one :func:`augment_batch` pass over a
+    stream seeded by [seed, 1]; gradients see the augmented batch, metrics
+    the clean sets after the step.  A step that leaves a non-finite
+    parameter or loss raises TrainingError.
     """
     labels = (_check_binary(train_set.labels(), "train"), _check_binary(test_set.labels(), "test"))
     train_images = train_set.images()
@@ -232,10 +281,7 @@ def fit(params, train_set, test_set, cfg: TrainConfig, augment_cfg: AugmentConfi
     rows: list[MetricsRow] = []
     moments = None
     for epoch in range(cfg.epochs):
-        if augmenting:
-            batch = encode([augment_sample(img, augment_cfg, aug_rng) for img in train_images])
-        else:
-            batch = clean[0]
+        batch = encode(augment_batch(train_images, augment_cfg, aug_rng)) if augmenting else clean[0]
         lr = lr_at(epoch, cfg)
         # a diverging step overflows; the finiteness check below reports it
         with np.errstate(over="ignore", invalid="ignore"):
@@ -250,19 +296,16 @@ def fit(params, train_set, test_set, cfg: TrainConfig, augment_cfg: AugmentConfi
 
 def train_qcnn(arch: Architecture, train_set, test_set, cfg: TrainConfig,
                augment_cfg: AugmentConfig | None = None):
-    """:func:`fit` the circuit from :func:`init_params` on the MSE loss."""
-    def scores(params, batches, labels):
-        ops = circuit_ops(arch, params)
-        out = []
-        for cols, y in zip(batches, labels):
-            _, p1s = run_columns(arch, ops, cols)
-            out.append((mse_loss(p1s, y), accuracy(p1s, y)))
-        return out
+    """:func:`fit` the circuit from :func:`init_params` on the MSE loss.
 
+    One :class:`_Circuit` per call shares each parameter vector's fused
+    blocks between the metrics after a step and the next step's gradient,
+    so an E-epoch run builds the circuit E + 1 times.
+    """
+    circuit = _Circuit(arch)
     return fit(init_params(arch, cfg.seed), train_set, test_set, cfg, augment_cfg,
                encode=lambda images: embed_columns(images, arch.n_qubits),
-               grad=lambda params, cols, y: _grad_columns(arch, params, cols, y),
-               scores=scores)
+               grad=circuit.grad, scores=circuit.scores)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ from qcnnlab.augment import (
     AugmentConfig,
     AugmentError,
     FactorOutOfBounds,
+    augment_batch,
     augment_sample,
     contrast,
     flip_h,
@@ -175,3 +176,97 @@ def test_augment_sample_is_reproducible_per_seed():
     a = augment_sample(img, cfg, np.random.default_rng(123))
     b = augment_sample(img, cfg, np.random.default_rng(123))
     assert np.array_equal(a, b)
+
+
+# ---------------------------------------------------------------------------
+# the batched kernel against a per-image loop
+# ---------------------------------------------------------------------------
+
+def _loop_rotate(img, angle):
+    """Bilinear rotation one image at a time: meshgrid and masked gathers."""
+    h, w = img.shape
+    cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
+    ys, xs = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
+    dy, dx = ys - cy, xs - cx
+    c, s = np.cos(angle), np.sin(angle)
+    src_x = cx + c * dx + s * dy
+    src_y = cy - s * dx + c * dy
+    x0 = np.floor(src_x).astype(int)
+    y0 = np.floor(src_y).astype(int)
+    fx, fy = src_x - x0, src_y - y0
+
+    def sample(yy, xx):
+        inside = (yy >= 0) & (yy < h) & (xx >= 0) & (xx < w)
+        out = np.zeros_like(src_x)
+        out[inside] = img[yy[inside], xx[inside]]
+        return out
+
+    out = ((1 - fy) * (1 - fx) * sample(y0, x0)
+           + (1 - fy) * fx * sample(y0, x0 + 1)
+           + fy * (1 - fx) * sample(y0 + 1, x0)
+           + fy * fx * sample(y0 + 1, x0 + 1))
+    return np.clip(out, 0.0, 1.0)
+
+
+def _loop_augment(img, cfg, rng):
+    """Per-image draws and transforms in the order flip, rotate, contrast."""
+    out = np.asarray(img, dtype=np.float64)
+    if cfg.flip_horizontal and rng.random() < 0.5:
+        out = np.ascontiguousarray(out[:, ::-1])
+    if cfg.rotation:
+        out = _loop_rotate(out, rng.uniform(-cfg.max_rotation, cfg.max_rotation))
+    if cfg.contrast:
+        factor = rng.uniform(*cfg.contrast_range)
+        mean = out.mean()
+        out = np.clip(mean + factor * (out - mean), 0.0, 1.0)
+    return out
+
+
+@pytest.mark.parametrize("name", ["none", "digits", "fashion", "catdog"])
+def test_batched_augmentation_equals_per_image_loop(name):
+    """20 epochs of one batched call each draw and transform exactly like the loop."""
+    cfg = preset(name)
+    for seed, shape in ((0, (8, 8)), (1, (28, 28)), (2, (5, 7))):
+        images = np.random.default_rng(seed).random((30,) + shape)
+        images[0] = 0.0
+        batched, looped = np.random.default_rng([seed, 1]), np.random.default_rng([seed, 1])
+        for _ in range(20):
+            expect = np.stack([_loop_augment(img, cfg, looped) for img in images])
+            assert np.array_equal(augment_batch(list(images), cfg, batched), expect)
+            if cfg.enabled:
+                assert np.array_equal(augment_sample(images[1], cfg, batched),
+                                      _loop_augment(images[1], cfg, looped))
+
+
+def test_batched_augmentation_all_transforms_wide_angle():
+    cfg = AugmentConfig(flip_horizontal=True, rotation=True, contrast=True, max_rotation=0.8)
+    images = np.random.default_rng(3).random((25, 9, 9))
+    batched, looped = np.random.default_rng(4), np.random.default_rng(4)
+    for _ in range(20):
+        expect = np.stack([_loop_augment(img, cfg, looped) for img in images])
+        assert np.array_equal(augment_batch(images, cfg, batched), expect)
+
+
+def test_one_image_transforms_equal_the_loop():
+    rng = np.random.default_rng(10)
+    for _ in range(50):
+        img = rng.random((8, 8))
+        angle, factor = rng.uniform(-0.05, 0.05), rng.uniform(0.9, 1.1)
+        assert np.array_equal(rotate(img, angle), _loop_rotate(img, angle))
+        mean = img.mean()
+        assert np.array_equal(contrast(img, factor), np.clip(mean + factor * (img - mean), 0.0, 1.0))
+
+
+def test_disabled_batch_returns_input_and_draws_nothing():
+    images = np.random.default_rng(11).random((4, 8, 8))
+    rng = np.random.default_rng(12)
+    assert augment_batch(images, AugmentConfig(), rng) is images
+    assert rng.random() == np.random.default_rng(12).random()
+
+
+def test_bound_errors_still_fire_on_the_shared_kernel():
+    img = np.random.default_rng(13).random((8, 8))
+    with pytest.raises(AngleOutOfBounds):
+        rotate(img, 0.2, max_angle=0.1)
+    with pytest.raises(FactorOutOfBounds):
+        contrast(img, 1.5, factor_range=(0.5, 1.2))

@@ -58,3 +58,33 @@ def test_register_too_small_rejected():
     with pytest.raises(embedding.RegisterTooSmall):
         embedding.amplitude_embed(np.ones(5), 2)
 
+
+
+def _loop_embed(pixels, n_qubits):
+    """One image at a time: the 1-D norm, then zero padding."""
+    values = np.asarray(pixels, dtype=np.float64).reshape(-1)
+    state = np.zeros(2**n_qubits, dtype=np.complex128)
+    state[: len(values)] = values / np.linalg.norm(values)
+    return state
+
+
+def test_embed_columns_equals_stacked_amplitude_embed():
+    rng = np.random.default_rng(8)
+    for n, shape in ((6, (8, 8)), (10, (32, 32)), (4, (3, 5)), (3, (8,))):
+        images = rng.random((40,) + shape) * rng.uniform(0.01, 20.0)
+        images[1] = 0.0
+        images[1, 0] = 1e-3
+        got = embedding.embed_columns(images, n)
+        assert got.shape == (2**n, 40)
+        assert np.array_equal(got, np.stack([embedding.amplitude_embed(img, n) for img in images], axis=1))
+        assert np.array_equal(got, np.stack([_loop_embed(img, n) for img in images], axis=1))
+        assert np.array_equal(embedding.embed_columns(list(images), n), got)
+
+
+def test_embed_columns_rejects_what_amplitude_embed_rejects():
+    images = np.random.default_rng(9).random((5, 8))
+    images[3] = 0.0
+    with pytest.raises(embedding.AllZeroImage):
+        embedding.embed_columns(images, 3)
+    with pytest.raises(embedding.RegisterTooSmall, match="8 pixels"):
+        embedding.embed_columns(np.ones((4, 8)), 2)

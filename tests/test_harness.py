@@ -300,6 +300,19 @@ def test_cli_odd_n_test_is_config_error(tmp_path, capsys):
     assert "n_test 7" in _rejected_up_front(tmp_path, capsys, "--n-test", "7")
 
 
+def test_cli_negative_lr0_is_config_error(tmp_path, capsys):
+    assert "lr0 must be >= 0" in _rejected_up_front(tmp_path, capsys, "--lr0", "-1")
+
+
+def test_cli_lr_decay_outside_unit_interval_is_config_error(tmp_path, capsys):
+    assert "lr_decay must be in [0, 1)" in _rejected_up_front(tmp_path, capsys, "--lr-decay", "1.5")
+
+
+def test_cli_non_dividing_resize_is_config_error(tmp_path, capsys):
+    err = _rejected_up_front(tmp_path, capsys, "--n-qubits", "4", "--depth", "1", "--resize", "5")
+    assert "resize 5 does not divide the 8x8" in err
+
+
 def test_cli_compare_da_end_to_end(tmp_path, capsys):
     out = tmp_path / "cmp"
     code = main(["compare-da", "--out", str(out), "--data-path", DIGITS,

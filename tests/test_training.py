@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from qcnnlab.augment import AugmentConfig
+from qcnnlab import training
+from qcnnlab.augment import AugmentConfig, augment_sample
+from qcnnlab.embedding import embed_columns
 from qcnnlab.datasets import Dataset, ImageSample
 from qcnnlab.qcnn import build_architecture, forward
 from qcnnlab.training import (
@@ -330,6 +332,94 @@ def test_divergent_step_raises_training_error():
     rows, _ = fit(np.zeros(3), train, test, cfg, None, encode=list,
                   grad=lambda p, x, y: p + 1, scores=finite_scores)
     assert len(rows) == 3
+
+
+# ---------------------------------------------------------------------------
+# one circuit build per parameter vector
+# ---------------------------------------------------------------------------
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    real = getattr(training, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(training, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("aug", [None, AugmentConfig(rotation=True, contrast=True)])
+def test_an_epoch_builds_the_circuit_once(monkeypatch, aug):
+    """E epochs build E + 1 circuits: one per parameter vector."""
+    train, test = _toy_sets(np.random.default_rng(16))
+    calls = _count_calls(monkeypatch, "circuit_ops")
+    train_qcnn(build_architecture(6, 1), train, test, TrainConfig(epochs=4, seed=1), augment_cfg=aug)
+    assert len(calls) == 4 + 1
+
+
+def _reference_fit(arch, train, test, cfg, aug):
+    """The epoch loop spelled out from the public per-image and per-call pieces."""
+    params, moments, rows = init_params(arch, cfg.seed), None, []
+    rng = np.random.default_rng([cfg.seed, 1])
+    for epoch in range(cfg.epochs):
+        images = train.images()
+        if aug is not None:
+            images = [augment_sample(img, aug, rng) for img in images]
+        grads = grad_exact(arch, params, images, train.labels())
+        params, moments = adam_step(params, grads, moments, epoch + 1, lr_at(epoch, cfg))
+        metrics = []
+        for data in (train, test):
+            p1s = batch_p1s(arch, params, data.images())
+            metrics += [mse_loss(p1s, data.labels()), accuracy(p1s, data.labels())]
+        rows.append(MetricsRow(epoch, *metrics))
+    return rows, params
+
+
+@pytest.mark.parametrize("aug", [None, AugmentConfig(rotation=True, contrast=True),
+                                 AugmentConfig(flip_horizontal=True, rotation=True)])
+def test_train_qcnn_equals_the_reference_loop_exactly(aug):
+    train, test = _toy_sets(np.random.default_rng(17), n_train=8, n_test=6)
+    arch = build_architecture(6, 2)
+    cfg = TrainConfig(epochs=5, seed=3)
+    rows, params = train_qcnn(arch, train, test, cfg, augment_cfg=aug)
+    ref_rows, ref_params = _reference_fit(arch, train, test, cfg, aug)
+    assert rows == ref_rows
+    assert params.tobytes() == ref_params.tobytes()
+
+
+def test_shared_circuit_never_returns_a_stale_forward(monkeypatch):
+    rng = np.random.default_rng(18)
+    train, test = _toy_sets(rng)
+    arch = build_architecture(6, 1)
+    cols = (embed_columns(train.images(), 6), embed_columns(test.images(), 6))
+    labels = (train.labels(), test.labels())
+    p_a, p_b = init_params(arch, 0), init_params(arch, 1)
+    forwards = _count_calls(monkeypatch, "run_columns")
+    circuit = training._Circuit(arch)
+
+    circuit.scores(p_a, cols, labels)
+    assert len(forwards) == 2
+    assert np.array_equal(circuit.grad(p_a, cols[0], labels[0]),
+                          grad_exact(arch, p_a, train.images(), labels[0]))
+    assert len(forwards) == 2 + 1  # reused the scores' train forward; grad_exact ran its own
+
+    circuit.scores(p_a, cols, labels)
+    scores_b = circuit.scores(p_b, cols, labels)
+    for (loss, acc), data in zip(scores_b, (train, test)):
+        p1s = batch_p1s(arch, p_b, data.images())
+        assert (loss, acc) == (mse_loss(p1s, data.labels()), accuracy(p1s, data.labels()))
+    circuit.scores(p_a, cols, labels)
+    assert np.array_equal(circuit.grad(p_b, cols[0], labels[0]),
+                          grad_exact(arch, p_b, train.images(), labels[0]))
+
+    circuit.scores(p_a, cols, labels)
+    assert np.array_equal(circuit.grad(p_a, cols[1], labels[1]),
+                          grad_exact(arch, p_a, test.images(), labels[1]))
+    calls = len(forwards)
+    circuit.grad(p_a, cols[0], labels[0])
+    assert len(forwards) == calls + 1  # a forward is handed over once, never twice
 
 
 # ---------------------------------------------------------------------------
