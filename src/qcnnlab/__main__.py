@@ -1,0 +1,8 @@
+"""`python -m qcnnlab ...` runs the same command-line tool as `qcnnlab ...`."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

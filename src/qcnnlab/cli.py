@@ -16,6 +16,7 @@ import tempfile
 import numpy as np
 
 from .augment import AugmentError, augment_batch, augment_sample, flip_h, preset
+from .cnn import build_cnn, cnn_loss_and_grads
 from .datasets import (
     Dataset,
     DatasetError,
@@ -196,6 +197,17 @@ def _check_gradients():
     assert np.max(np.abs(exact - fd)) < 1e-6
 
 
+def _check_cnn_gradients():
+    rng = np.random.default_rng(8)
+    model = build_cnn((8, 8), seed=8)
+    images = rng.random((2, 8, 8))
+    labels = [0, 1]
+    _, _, exact = cnn_loss_and_grads(model, images, labels)
+    fd = grad_fd(lambda p: cnn_loss_and_grads(model.with_params(p), images, labels)[0],
+                 model.pack())
+    assert np.max(np.abs(exact - fd)) < 1e-6
+
+
 def _check_augment():
     rng = np.random.default_rng(4)
     img = rng.random((8, 8))
@@ -244,6 +256,7 @@ _SELFTEST_CHECKS = (
     ("fused blocks match per-gate circuit", _check_fused_blocks),
     ("pooling branch equivalence", _check_pooling_branches),
     ("gradient engines agree", _check_gradients),
+    ("cnn gradient matches finite differences", _check_cnn_gradients),
     ("augmentation bounds", _check_augment),
     ("batched augmentation matches per-image draws", _check_batched_augment),
     ("optimizer", _check_optimizer),

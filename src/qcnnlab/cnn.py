@@ -5,6 +5,15 @@ block, larger inputs (28x28, 32x32) get two blocks (8 then 16 filters),
 always followed by flatten and a dense 2-way softmax head trained with
 sparse categorical cross-entropy.  Convolutions are stride-1 with "same"
 zero padding; pooling is 2x2 stride 2, dropping a trailing odd row/column.
+
+Each layer is a few whole-batch array operations.  A convolution gathers
+the patch matrix (one row per output pixel, one column per kernel entry,
+plus a ones column for the bias) and multiplies it by the stacked weights
+once; its backward pass takes the weight and bias gradients from one
+matmul with the same matrix and the input gradient from one matmul and k*k
+strided adds (col2im).  The first layer's input gradient, which is with
+respect to the images, is not computed.  Pooling finds each window's max
+and first-wins entry with elementwise ops over the four window entries.
 Every backward pass is checked against central finite differences in the
 test suite.
 """
@@ -12,6 +21,7 @@ test suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -91,39 +101,69 @@ def build_cnn(input_hw: tuple[int, int], seed: int,
 # layers (batched: x is (m, H, W, C))
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
+def _patch_index(h: int, w: int, c: int, k: int) -> np.ndarray:
+    """Gather index of one image's patch rows, read-only.
+
+    The source is the image's h*w*c pixels followed by a 0 and a 1.  Row
+    i*w + j lists the pixels kernel entry (di, dj, ch) meets at output pixel
+    (i, j), in the order of kernels.reshape(-1, c_out); entries outside the
+    frame read the 0 ("same" zero padding).  The last column reads the 1,
+    which carries the bias.
+    """
+    p = k // 2
+    i = (np.arange(h)[:, None] + np.arange(k)[None, :] - p)[:, None, :, None, None]
+    j = (np.arange(w)[:, None] + np.arange(k)[None, :] - p)[None, :, None, :, None]
+    inside = (i >= 0) & (i < h) & (j >= 0) & (j < w)
+    idx = np.where(inside, (i * w + j) * c + np.arange(c), h * w * c)
+    idx = np.hstack([idx.reshape(h * w, k * k * c), np.full((h * w, 1), h * w * c + 1)])
+    idx.setflags(write=False)
+    return idx
+
+
+def _patches(x: np.ndarray, k: int) -> np.ndarray:
+    """The (m*h*w, k*k*c + 1) patch matrix of x, one row per output pixel."""
+    m, h, w, c = x.shape
+    src = np.empty((m, h * w * c + 2))
+    src[:, :-2] = x.reshape(m, -1)
+    src[:, -2] = 0.0
+    src[:, -1] = 1.0
+    return np.take(src, _patch_index(h, w, c, k), axis=1).reshape(m * h * w, -1)
+
+
 def conv2d(x: np.ndarray, kernels: np.ndarray, biases: np.ndarray) -> np.ndarray:
     """Stride-1 cross-correlation with "same" zero padding, plus bias."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 4 or kernels.ndim != 4 or x.shape[3] != kernels.shape[2]:
         raise ShapeMismatch(f"conv input {x.shape} vs kernels {kernels.shape}")
-    k = kernels.shape[0]
-    p = k // 2
     m, h, w, _ = x.shape
-    xp = np.pad(x, ((0, 0), (p, p), (p, p), (0, 0)))
-    out = np.zeros((m, h, w, kernels.shape[3]))
-    for di in range(k):
-        for dj in range(k):
-            out += np.einsum("mhwc,cf->mhwf", xp[:, di : di + h, dj : dj + w, :],
-                             kernels[di, dj])
-    return out + biases
+    c_out = kernels.shape[3]
+    weights = np.vstack((kernels.reshape(-1, c_out), biases))
+    return (_patches(x, kernels.shape[0]) @ weights).reshape(m, h, w, c_out)
+
+
+def _conv_param_grads(x: np.ndarray, kernels: np.ndarray, dout2d: np.ndarray):
+    """(dkernels, dbiases) of conv2d for upstream dout as an (m*h*w, c_out)
+    matrix: the bias gradient is the patch matrix's ones column times dout."""
+    grads = _patches(x, kernels.shape[0]).T @ dout2d
+    return grads[:-1].reshape(kernels.shape), grads[-1]
 
 
 def conv2d_backward(x: np.ndarray, kernels: np.ndarray, dout: np.ndarray):
     """Gradients (dx, dkernels, dbiases) of conv2d for upstream dout."""
     k = kernels.shape[0]
     p = k // 2
-    m, h, w, _ = x.shape
-    xp = np.pad(x, ((0, 0), (p, p), (p, p), (0, 0)))
-    dxp = np.zeros_like(xp)
-    dk = np.zeros_like(kernels)
+    m, h, w, c = x.shape
+    c_out = kernels.shape[3]
+    dout2d = dout.reshape(-1, c_out)
+    dk, db = _conv_param_grads(x, kernels, dout2d)
+    # col2im: each kernel entry's columns add back onto the pixels they read
+    dcols = (dout2d @ kernels.reshape(-1, c_out).T).reshape(m, h, w, k, k, c)
+    dxp = np.zeros((m, h + 2 * p, w + 2 * p, c))
     for di in range(k):
         for dj in range(k):
-            patch = xp[:, di : di + h, dj : dj + w, :]
-            dk[di, dj] = np.einsum("mhwc,mhwf->cf", patch, dout)
-            dxp[:, di : di + h, dj : dj + w, :] += np.einsum(
-                "mhwf,cf->mhwc", dout, kernels[di, dj])
-    dx = dxp[:, p : p + h, p : p + w, :]
-    return dx, dk, dout.sum(axis=(0, 1, 2))
+            dxp[:, di : di + h, dj : dj + w, :] += dcols[:, :, :, di, dj, :]
+    return dxp[:, p : p + h, p : p + w, :], dk, db
 
 
 def relu(x: np.ndarray) -> np.ndarray:
@@ -137,15 +177,23 @@ def relu_backward(x: np.ndarray, dout: np.ndarray) -> np.ndarray:
 def maxpool2x2(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Max of each 2x2 block, stride 2; returns (pooled, argmax routing).
 
-    Odd trailing rows/columns are dropped.  The routing tensor remembers the
-    first-wins argmax within each window for the backward pass.
+    Odd trailing rows/columns are dropped.  The routing tensor holds, per
+    pooled value, the first window entry (2 * row + col) equal to the max,
+    which the backward pass sends the gradient to.  A window holding NaN
+    pools to NaN and routes to its last entry.
     """
     m, h, w, c = x.shape
     h2, w2 = h // 2, w // 2
-    windows = x[:, : 2 * h2, : 2 * w2, :].reshape(m, h2, 2, w2, 2, c)
-    windows = windows.transpose(0, 1, 3, 2, 4, 5).reshape(m, h2, w2, 4, c)
-    route = np.argmax(windows, axis=3)  # first max wins
-    pooled = np.take_along_axis(windows, route[:, :, :, None, :], axis=3)[:, :, :, 0, :]
+    # one contiguous (m, h2, w2, c) plane per window entry, so the max and the
+    # first-wins search are elementwise ops instead of a per-window argmax
+    entries = x[:, : 2 * h2, : 2 * w2, :].reshape(m, h2, 2, w2, 2, c)
+    entries = entries.transpose(2, 4, 0, 1, 3, 5).reshape(4, m, h2, w2, c)
+    pooled = entries.max(axis=0)
+    later = entries[0] != pooled  # the max lies past this entry
+    route = later.astype(np.intp)
+    for entry in entries[1:3]:
+        later &= entry != pooled
+        route += later
     return pooled, route
 
 
@@ -180,10 +228,9 @@ def _forward(model: CnnModel, x: np.ndarray):
     """Logits plus the per-layer caches the backward pass replays."""
     caches = []
     for kern, bias in zip(model.kernels, model.conv_biases):
-        pre = conv2d(x, kern, bias)
-        act = relu(pre)
+        act = relu(conv2d(x, kern, bias))
         pooled, route = maxpool2x2(act)
-        caches.append((x, pre, act.shape, route))
+        caches.append((x, act.shape, route, pooled))
         x = pooled
     m = x.shape[0]
     flat = x.reshape(m, -1)
@@ -209,11 +256,16 @@ def cnn_loss_and_grads(model: CnnModel, images, labels):
     dx = (dlogits @ model.dense_w.T).reshape(pooled_shape)
 
     dkernels, dbiases = [], []
-    for (x_in, pre, act_shape, route), kern in zip(reversed(caches),
-                                                   reversed(model.kernels)):
-        dact = maxpool2x2_backward(act_shape, route, dx)
-        dpre = relu_backward(pre, dact)
-        dx, dk, db = conv2d_backward(x_in, kern, dpre)
+    for layer in reversed(range(len(caches))):
+        x_in, act_shape, route, pooled = caches[layer]
+        kern = model.kernels[layer]
+        # relu passes gradient where the routed pre-activation is positive,
+        # which is where the pooled value is: mask at the pooled size
+        dpre = maxpool2x2_backward(act_shape, route, relu_backward(pooled, dx))
+        if layer:
+            dx, dk, db = conv2d_backward(x_in, kern, dpre)
+        else:  # the input images' own gradient is never read
+            dk, db = _conv_param_grads(x_in, kern, dpre.reshape(-1, kern.shape[3]))
         dkernels.append(dk)
         dbiases.append(db)
     dkernels.reverse()
@@ -233,10 +285,21 @@ def cnn_evaluate(model: CnnModel, images, labels) -> tuple[float, float]:
     return loss, acc
 
 
+# glibc's malloc hands a heap's free top back to the kernel once it exceeds
+# twice the largest mmap-ed block freed so far (mallopt(3), "dynamic mmap
+# threshold"), and a step's 2-3 MB of patch matrices and activations would
+# then be page-faulted in again every epoch.  Freeing one block of this many
+# float64s (8 MB) first lifts that bar to 16 MB for the whole process; other
+# allocators just see one allocation and free.
+_HEAP_TRIM_LIFT = 1 << 20
+
+
 def train_cnn(model: CnnModel, train_set, test_set, cfg: TrainConfig,
               augment_cfg: AugmentConfig | None = None):
     """training.fit every kernel/bias/dense weight on the cross-entropy loss;
     returns (per-epoch metrics, trained model)."""
+    np.empty(_HEAP_TRIM_LIFT)  # allocated and freed at once
+
     def scores(params, batches, labels):
         stepped = model.with_params(params)
         return [cnn_evaluate(stepped, x, y) for x, y in zip(batches, labels)]

@@ -4,8 +4,8 @@ A run is a grid over (class_b, n_per_class).  Repetition k trains with seed
 base_seed + k, which drives subset sampling, parameter init, and the
 augmentation stream, so any run is reproducible byte for byte.  Repetitions
 execute on a thread pool but are aggregated in fixed order; the output files
-never depend on the worker count.  Nothing is written until every repetition
-has finished.
+never depend on the worker count.  The output directory must be new or
+empty, and nothing is written until every repetition has finished.
 """
 
 from __future__ import annotations
@@ -233,10 +233,12 @@ def _train_one_rep(cfg: ExperimentConfig, pool: Dataset, class_b: int,
 
 
 def _compute_experiment(cfg: ExperimentConfig, pool: Dataset) -> list[RunResult]:
-    # Repetitions run on pool workers even at threads = 1.  On the main thread
-    # glibc's main malloc arena returns the CNN's large freed buffers to the
-    # kernel and faults them in again: about 320k minor faults per 200-epoch
-    # CNN repetition, against under 10k on a worker, and 20-35% more CPU time.
+    # Repetitions run on pool workers even at threads = 1, although the main
+    # thread no longer costs more: per repetition with one BLAS thread on a
+    # 2-CPU VM, a 200-epoch 8x8 CNN takes about 960 minor faults and 0.47-0.52 s
+    # CPU on the main thread against 980 and 0.43-0.48 s on a worker (train_cnn
+    # lifts glibc's heap-trim threshold), and a 100-epoch default QCNN 7.5k
+    # faults and 0.43-0.57 s against 750 and 0.44-0.55 s.
     workers = cfg.threads if cfg.threads > 0 else min(cfg.repetitions, os.cpu_count() or 1)
     results = []
     with ThreadPoolExecutor(max_workers=workers) as pool_ex:
@@ -280,8 +282,21 @@ def _write_run(dirpath: str, rr: RunResult) -> None:
         fh.write(format_metrics(rr.mean_rows))
 
 
+def _check_out_dir(out_dir: str) -> None:
+    """Refuse an output path that already holds something, so a run's files
+    never sit beside an older run's."""
+    if not os.path.exists(out_dir):
+        return
+    if not os.path.isdir(out_dir):
+        raise ConfigError(f"output path {out_dir} exists and is not a directory")
+    if os.listdir(out_dir):
+        raise ConfigError(f"output directory {out_dir} is not empty; "
+                          "choose a new --out or remove the old run first")
+
+
 def run_experiment(cfg: ExperimentConfig, out_dir: str) -> list[RunResult]:
     """Train the full grid, then write per-rep curves, means, and the echo."""
+    _check_out_dir(out_dir)
     pool = load_pool(cfg)
     _check_register(cfg, pool)
     results = _compute_experiment(cfg, pool)
@@ -342,6 +357,7 @@ def compare_da(cfg: ExperimentConfig, out_dir: str) -> ComparisonTable:
     no_cfg = replace(cfg, augment="none")
     da_cfg = replace(cfg, augment=aug_name)
 
+    _check_out_dir(out_dir)
     pool = load_pool(cfg)
     _check_register(cfg, pool)
     no_results = _compute_experiment(no_cfg, pool)

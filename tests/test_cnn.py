@@ -77,6 +77,133 @@ def test_conv_backward_matches_fd():
         assert np.max(np.abs(fd - grad.reshape(-1))) < 1e-6
 
 
+# The per-shift kernels below are the reference the patch-matrix kernels are
+# checked against: one einsum per kernel entry over a strided slice of the
+# zero-padded input, and an argmax over a (m, h2, w2, 4, c) window axis.
+
+def _ref_conv2d(x, kernels, biases):
+    k = kernels.shape[0]
+    p = k // 2
+    m, h, w, _ = x.shape
+    xp = np.pad(x, ((0, 0), (p, p), (p, p), (0, 0)))
+    out = np.zeros((m, h, w, kernels.shape[3]))
+    for di in range(k):
+        for dj in range(k):
+            out += np.einsum("mhwc,cf->mhwf", xp[:, di : di + h, dj : dj + w, :],
+                             kernels[di, dj])
+    return out + biases
+
+
+def _ref_conv2d_backward(x, kernels, dout):
+    k = kernels.shape[0]
+    p = k // 2
+    m, h, w, _ = x.shape
+    xp = np.pad(x, ((0, 0), (p, p), (p, p), (0, 0)))
+    dxp = np.zeros_like(xp)
+    dk = np.zeros_like(kernels)
+    for di in range(k):
+        for dj in range(k):
+            patch = xp[:, di : di + h, dj : dj + w, :]
+            dk[di, dj] = np.einsum("mhwc,mhwf->cf", patch, dout)
+            dxp[:, di : di + h, dj : dj + w, :] += np.einsum(
+                "mhwf,cf->mhwc", dout, kernels[di, dj])
+    return dxp[:, p : p + h, p : p + w, :], dk, dout.sum(axis=(0, 1, 2))
+
+
+def _ref_maxpool2x2(x):
+    m, h, w, c = x.shape
+    h2, w2 = h // 2, w // 2
+    windows = x[:, : 2 * h2, : 2 * w2, :].reshape(m, h2, 2, w2, 2, c)
+    windows = windows.transpose(0, 1, 3, 2, 4, 5).reshape(m, h2, w2, 4, c)
+    route = np.argmax(windows, axis=3)
+    pooled = np.take_along_axis(windows, route[:, :, :, None, :], axis=3)[:, :, :, 0, :]
+    return pooled, route
+
+
+_CONV_CASES = [(hw, c_in, k) for hw in ((5, 7), (6, 6)) for c_in in (1, 2, 8) for k in (1, 3, 5)]
+
+
+@pytest.mark.parametrize("hw, c_in, k", _CONV_CASES)
+def test_conv_matches_per_shift_reference(hw, c_in, k):
+    rng = np.random.default_rng(100 * k + 10 * c_in + hw[0])
+    x = rng.normal(size=(3, *hw, c_in))
+    kern = rng.normal(size=(k, k, c_in, 4))
+    bias = rng.normal(size=4)
+    assert np.max(np.abs(conv2d(x, kern, bias) - _ref_conv2d(x, kern, bias))) < 1e-12
+
+
+@pytest.mark.parametrize("hw, c_in, k", _CONV_CASES)
+def test_conv_backward_matches_per_shift_reference(hw, c_in, k):
+    rng = np.random.default_rng(100 * k + 10 * c_in + hw[0] + 1)
+    x = rng.normal(size=(3, *hw, c_in))
+    kern = rng.normal(size=(k, k, c_in, 4))
+    dout = rng.normal(size=(3, *hw, 4))
+    for got, want in zip(conv2d_backward(x, kern, dout), _ref_conv2d_backward(x, kern, dout)):
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) < 1e-12
+
+
+def _pool_inputs():
+    rng = np.random.default_rng(11)
+    yield rng.normal(size=(3, 6, 6, 2))
+    yield rng.normal(size=(2, 5, 7, 3))                        # odd trailing row and column
+    yield np.full((2, 4, 6, 2), 0.25)                           # every window an all-tie
+    yield np.floor(rng.random((4, 7, 5, 3)) * 3)                # many partial ties
+    yield np.where(rng.random((2, 6, 6, 1)) < 0.5, 0.0, -0.0)  # ties between +0 and -0
+    yield np.maximum(rng.normal(size=(3, 8, 8, 8)), 0.0)       # relu output, zero ties
+
+
+def test_maxpool_matches_argmax_reference():
+    for x in _pool_inputs():
+        pooled, route = maxpool2x2(x)
+        want_pooled, want_route = _ref_maxpool2x2(x)
+        assert route.shape == want_route.shape and route.dtype == want_route.dtype
+        assert np.array_equal(route, want_route)
+        assert np.array_equal(pooled, want_pooled)
+
+
+def _ref_loss_and_grads(model, images, labels):
+    """Full-model loss and gradient from the reference kernels, with relu's
+    backward at the full activation size and every layer's input gradient."""
+    x = images[..., None]
+    caches = []
+    for kern, bias in zip(model.kernels, model.conv_biases):
+        pre = _ref_conv2d(x, kern, bias)
+        pooled, route = _ref_maxpool2x2(relu(pre))
+        caches.append((x, pre, route))
+        x = pooled
+    m = x.shape[0]
+    flat = x.reshape(m, -1)
+    logits = flat @ model.dense_w + model.dense_b
+    z = logits - logits.max(axis=1, keepdims=True)
+    probs = np.exp(z) / np.exp(z).sum(axis=1, keepdims=True)
+    loss = float(np.mean(np.log(np.exp(z).sum(axis=1)) - z[np.arange(m), labels]))
+    dlogits = probs.copy()
+    dlogits[np.arange(m), labels] -= 1.0
+    dlogits /= m
+    dx = (dlogits @ model.dense_w.T).reshape(x.shape)
+    dks, dbs = [], []
+    for (x_in, pre, route), kern in zip(reversed(caches), reversed(model.kernels)):
+        dpre = relu_backward(pre, maxpool2x2_backward(pre.shape, route, dx))
+        dx, dk, db = _ref_conv2d_backward(x_in, kern, dpre)
+        dks.insert(0, dk)
+        dbs.insert(0, db)
+    grads = [*dks, *dbs, flat.T @ dlogits, dlogits.sum(axis=0)]
+    return loss, np.concatenate([g.reshape(-1) for g in grads])
+
+
+@pytest.mark.parametrize("hw", [(8, 8), (16, 16), (12, 10)])
+def test_loss_and_grads_match_reference_kernels(hw):
+    rng = np.random.default_rng(13)
+    model = build_cnn(hw, seed=14)
+    images = rng.random((5, *hw))
+    labels = np.array([0, 1, 1, 0, 1])
+    loss, _, grads = cnn_loss_and_grads(model, images, labels)
+    want_loss, want_grads = _ref_loss_and_grads(model, images, labels)
+    assert abs(loss - want_loss) < 1e-12
+    assert np.max(np.abs(grads - want_grads)) < 1e-12
+
+
 # ---------------------------------------------------------------------------
 # relu / maxpool
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Tests for config handling, the experiment runner, and the CLI."""
 
 import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -313,6 +315,42 @@ def test_cli_non_dividing_resize_is_config_error(tmp_path, capsys):
     assert "resize 5 does not divide the 8x8" in err
 
 
+@pytest.mark.parametrize("command", ["train-qcnn", "train-cnn", "compare-da"])
+def test_cli_non_empty_out_is_config_error(tmp_path, capsys, command):
+    # a 1-rep run into a 3-rep run's directory would leave metrics_rep1/2.csv
+    # beside the new results
+    out = tmp_path / "old_run"
+    out.mkdir()
+    (out / "metrics_rep2.csv").write_text("stale\n")
+    code = main([command, "--out", str(out), "--data-path", DIGITS, "--n-per-class", "3",
+                 "--n-test", "6", "--epochs", "1", "--repetitions", "1", "--depth", "1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert f"output directory {out} is not empty" in captured.err
+    assert "mean final test acc" not in captured.out
+    assert sorted(os.listdir(out)) == ["metrics_rep2.csv"]
+    assert (out / "metrics_rep2.csv").read_text() == "stale\n"
+
+
+def test_cli_out_that_is_a_file_is_config_error(tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("x")
+    code = main(["train-cnn", "--out", str(out), "--data-path", DIGITS, "--n-per-class", "3",
+                 "--n-test", "6", "--epochs", "1", "--repetitions", "1"])
+    assert code == 1
+    assert "is not a directory" in capsys.readouterr().err
+    assert out.read_text() == "x"
+
+
+def test_cli_empty_existing_out_is_accepted(tmp_path):
+    out = tmp_path / "empty"
+    out.mkdir()
+    code = main(["train-cnn", "--out", str(out), "--data-path", DIGITS, "--n-per-class", "3",
+                 "--n-test", "6", "--epochs", "1", "--repetitions", "1"])
+    assert code == 0
+    assert (out / "metrics_rep0.csv").exists()
+
+
 def test_cli_compare_da_end_to_end(tmp_path, capsys):
     out = tmp_path / "cmp"
     code = main(["compare-da", "--out", str(out), "--data-path", DIGITS,
@@ -340,8 +378,19 @@ def test_cli_augment_preview_bad_index_is_data_error(tmp_path):
     assert code == 2
 
 
+def test_python_m_qcnnlab_runs_selftest():
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-m", "qcnnlab", "selftest"], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "selftest: all checks passed" in proc.stdout
+
+
 def test_cli_selftest_passes(capsys):
     assert main(["selftest"]) == 0
     out = capsys.readouterr().out
     assert "all checks passed" in out
+    assert "selftest: cnn gradient matches finite differences: ok" in out
     assert "FAIL" not in out
