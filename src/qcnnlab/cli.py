@@ -12,6 +12,7 @@ import argparse
 import os
 import sys
 import tempfile
+from dataclasses import fields
 
 import numpy as np
 
@@ -60,11 +61,7 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
-_OVERRIDE_KEYS = (
-    "dataset", "data_path", "class_a", "class_b", "n_per_class", "n_test",
-    "epochs", "repetitions", "base_seed", "augment", "n_qubits", "depth",
-    "resize", "lr0", "lr_decay", "threads",
-)
+_OVERRIDE_KEYS = tuple(f.name for f in fields(ExperimentConfig) if f.name != "model")
 
 
 def _add_experiment_flags(sub: argparse.ArgumentParser) -> None:
@@ -72,7 +69,8 @@ def _add_experiment_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--out", required=True, help="output directory")
     for key in _OVERRIDE_KEYS:
         sub.add_argument("--" + key.replace("_", "-"), dest=key, default=None,
-                         metavar="V", help=f"override {key}")
+                         metavar="V", help="accepted so old configs load; has no effect"
+                         if key == "threads" else f"override {key}")
 
 
 def _resolved_config(args, model: str | None) -> ExperimentConfig:

@@ -285,20 +285,10 @@ def cnn_evaluate(model: CnnModel, images, labels) -> tuple[float, float]:
     return loss, acc
 
 
-# glibc's malloc hands a heap's free top back to the kernel once it exceeds
-# twice the largest mmap-ed block freed so far (mallopt(3), "dynamic mmap
-# threshold"), and a step's 2-3 MB of patch matrices and activations would
-# then be page-faulted in again every epoch.  Freeing one block of this many
-# float64s (8 MB) first lifts that bar to 16 MB for the whole process; other
-# allocators just see one allocation and free.
-_HEAP_TRIM_LIFT = 1 << 20
-
-
 def train_cnn(model: CnnModel, train_set, test_set, cfg: TrainConfig,
               augment_cfg: AugmentConfig | None = None):
     """training.fit every kernel/bias/dense weight on the cross-entropy loss;
     returns (per-epoch metrics, trained model)."""
-    np.empty(_HEAP_TRIM_LIFT)  # allocated and freed at once
 
     def scores(params, batches, labels):
         stepped = model.with_params(params)

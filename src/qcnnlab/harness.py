@@ -3,15 +3,19 @@
 A run is a grid over (class_b, n_per_class).  Repetition k trains with seed
 base_seed + k, which drives subset sampling, parameter init, and the
 augmentation stream, so any run is reproducible byte for byte.  Repetitions
-execute on a thread pool but are aggregated in fixed order; the output files
-never depend on the worker count.  The output directory must be new or
-empty, and nothing is written until every repetition has finished.
+run in order on the calling thread (the `threads` key is accepted so old
+configs load, but has no effect).  The output directory must be new or
+empty; every file is written into a sibling directory that is renamed onto
+it once complete, so a failed run writes nothing.
 """
 
 from __future__ import annotations
 
+import errno
 import os
-from concurrent.futures import ThreadPoolExecutor
+import shutil
+import sys
+import time
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -232,54 +236,56 @@ def _train_one_rep(cfg: ExperimentConfig, pool: Dataset, class_b: int,
     return tuple(rows), trained.pack()
 
 
+# glibc's malloc hands a heap's free top back to the kernel once it exceeds
+# twice the largest mmap-ed block freed so far (mallopt(3)), and the main
+# arena, which serves the main thread the repetitions run on, would then
+# page-fault a step's few MB of temporaries in again every epoch, for either
+# model.  Freeing one block of this many float64s (8 MB) lifts that bar to
+# 16 MB for the whole process; other allocators just see one free.
+_HEAP_TRIM_LIFT = 1 << 20
+
+
 def _compute_experiment(cfg: ExperimentConfig, pool: Dataset) -> list[RunResult]:
-    # Repetitions run on pool workers even at threads = 1, although the main
-    # thread no longer costs more: per repetition with one BLAS thread on a
-    # 2-CPU VM, a 200-epoch 8x8 CNN takes about 960 minor faults and 0.47-0.52 s
-    # CPU on the main thread against 980 and 0.43-0.48 s on a worker (train_cnn
-    # lifts glibc's heap-trim threshold), and a 100-epoch default QCNN 7.5k
-    # faults and 0.43-0.57 s against 750 and 0.44-0.55 s.
-    workers = cfg.threads if cfg.threads > 0 else min(cfg.repetitions, os.cpu_count() or 1)
+    np.empty(_HEAP_TRIM_LIFT)  # allocated and freed at once
     results = []
-    with ThreadPoolExecutor(max_workers=workers) as pool_ex:
-        for class_b in cfg.class_b:
-            for n in cfg.n_per_class:
-                futures = [
-                    pool_ex.submit(_train_one_rep, cfg, pool, class_b, n,
-                                   cfg.base_seed + k)
-                    for k in range(cfg.repetitions)
-                ]
-                outcomes = [f.result() for f in futures]  # fixed order k = 0..reps-1
-                rep_rows = tuple(rows for rows, _ in outcomes)
-                rep_params = tuple(params for _, params in outcomes)
-                results.append(RunResult(cfg.class_a, class_b, n, rep_rows, rep_params,
-                                         tuple(mean_metrics([list(r) for r in rep_rows]))))
+    for class_b in cfg.class_b:
+        for n in cfg.n_per_class:
+            rep_rows, rep_params = [], []
+            for k in range(cfg.repetitions):
+                start = time.perf_counter()
+                rows, params = _train_one_rep(cfg, pool, class_b, n, cfg.base_seed + k)
+                print(f"{cfg.class_a}-vs-{class_b} N={n} rep {k + 1}/{cfg.repetitions}: "
+                      f"final test acc {rows[-1].test_acc:.4f}, "
+                      f"{time.perf_counter() - start:.2f} s", file=sys.stderr)
+                rep_rows.append(rows)
+                rep_params.append(params)
+            results.append(RunResult(cfg.class_a, class_b, n, tuple(rep_rows), tuple(rep_params),
+                                     tuple(mean_metrics([list(r) for r in rep_rows]))))
     return results
 
 
-def _cell_dir(base: str, cfg: ExperimentConfig, rr: RunResult) -> str:
-    if len(cfg.class_b) == 1 and len(cfg.n_per_class) == 1:
-        return base
-    return os.path.join(base, f"b{rr.class_b}_n{rr.n_per_class}")
+def _write_text(path, text: str) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
 
 
 def _write_params(path, params: np.ndarray) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        for value in params:
-            fh.write(f"{value:.17g}\n")
+    _write_text(path, "".join(f"{value:.17g}\n" for value in params))
 
 
-def _write_run(dirpath: str, rr: RunResult) -> None:
-    os.makedirs(dirpath, exist_ok=True)
-    for k, rows in enumerate(rr.per_rep_rows):
-        with open(os.path.join(dirpath, f"metrics_rep{k}.csv"), "w",
-                  encoding="utf-8", newline="") as fh:
-            fh.write(format_metrics(rows))
-        _write_params(os.path.join(dirpath, f"params_final_rep{k}.csv"),
-                      rr.per_rep_params[k])
-    with open(os.path.join(dirpath, "metrics_mean.csv"), "w",
-              encoding="utf-8", newline="") as fh:
-        fh.write(format_metrics(rr.mean_rows))
+def _write_arm(base: str, cfg: ExperimentConfig, results: list[RunResult]) -> None:
+    """Per-rep curves and parameters, means, and the config echo; a grid
+    larger than one cell puts each cell in its own subdirectory."""
+    single = len(cfg.class_b) == 1 and len(cfg.n_per_class) == 1
+    for rr in results:
+        dirpath = base if single else os.path.join(base, f"b{rr.class_b}_n{rr.n_per_class}")
+        os.makedirs(dirpath, exist_ok=True)
+        for k, rows in enumerate(rr.per_rep_rows):
+            _write_text(os.path.join(dirpath, f"metrics_rep{k}.csv"), format_metrics(rows))
+            _write_params(os.path.join(dirpath, f"params_final_rep{k}.csv"),
+                          rr.per_rep_params[k])
+        _write_text(os.path.join(dirpath, "metrics_mean.csv"), format_metrics(rr.mean_rows))
+    _write_text(os.path.join(base, "config_resolved.cfg"), format_config(cfg))
 
 
 def _check_out_dir(out_dir: str) -> None:
@@ -294,18 +300,34 @@ def _check_out_dir(out_dir: str) -> None:
                           "choose a new --out or remove the old run first")
 
 
+def _write_atomically(out_dir: str, write) -> None:
+    """Call write(tmp) on a new sibling directory, then rename it onto out_dir
+    (rename(2) replaces an empty directory); a failure leaves out_dir as it was."""
+    parent, name = os.path.split(os.path.abspath(out_dir))
+    tmp = os.path.join(parent, f".{name}.{os.getpid()}.{time.time_ns()}.tmp")
+    os.makedirs(tmp)
+    try:
+        write(tmp)
+        try:
+            os.replace(tmp, out_dir)
+        except OSError as exc:  # EBUSY: out_dir is a working directory or mount point
+            if exc.errno != errno.EBUSY:
+                raise
+            for entry in os.listdir(tmp):
+                os.replace(os.path.join(tmp, entry), os.path.join(out_dir, entry))
+            os.rmdir(tmp)
+    except BaseException:
+        shutil.rmtree(tmp, ignore_errors=True)
+        raise
+
+
 def run_experiment(cfg: ExperimentConfig, out_dir: str) -> list[RunResult]:
     """Train the full grid, then write per-rep curves, means, and the echo."""
     _check_out_dir(out_dir)
     pool = load_pool(cfg)
     _check_register(cfg, pool)
     results = _compute_experiment(cfg, pool)
-    os.makedirs(out_dir, exist_ok=True)
-    for rr in results:
-        _write_run(_cell_dir(out_dir, cfg, rr), rr)
-    with open(os.path.join(out_dir, "config_resolved.cfg"), "w",
-              encoding="utf-8", newline="") as fh:
-        fh.write(format_config(cfg))
+    _write_atomically(out_dir, lambda tmp: _write_arm(tmp, cfg, results))
     return results
 
 
@@ -370,20 +392,11 @@ def compare_da(cfg: ExperimentConfig, out_dir: str) -> ComparisonTable:
     )
     table = ComparisonTable(rows)
 
-    os.makedirs(out_dir, exist_ok=True)
-    for sub, arm_cfg, arm_results in (("no_da", no_cfg, no_results),
-                                      ("da", da_cfg, da_results)):
-        arm_dir = os.path.join(out_dir, sub)
-        os.makedirs(arm_dir, exist_ok=True)
-        for rr in arm_results:
-            _write_run(_cell_dir(arm_dir, arm_cfg, rr), rr)
-        with open(os.path.join(arm_dir, "config_resolved.cfg"), "w",
-                  encoding="utf-8", newline="") as fh:
-            fh.write(format_config(arm_cfg))
-    with open(os.path.join(out_dir, "comparison.csv"), "w",
-              encoding="utf-8", newline="") as fh:
-        fh.write(table.to_csv())
-    with open(os.path.join(out_dir, "comparison.txt"), "w",
-              encoding="utf-8", newline="") as fh:
-        fh.write(table.to_text())
+    def write(tmp):
+        _write_arm(os.path.join(tmp, "no_da"), no_cfg, no_results)
+        _write_arm(os.path.join(tmp, "da"), da_cfg, da_results)
+        _write_text(os.path.join(tmp, "comparison.csv"), table.to_csv())
+        _write_text(os.path.join(tmp, "comparison.txt"), table.to_text())
+
+    _write_atomically(out_dir, write)
     return table

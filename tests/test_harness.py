@@ -1,13 +1,16 @@
 """Tests for config handling, the experiment runner, and the CLI."""
 
 import os
+import re
 import subprocess
 import sys
+import threading
 import warnings
 
 import numpy as np
 import pytest
 
+from qcnnlab import harness
 from qcnnlab.cli import main
 from qcnnlab.harness import (
     ComparisonTable,
@@ -19,6 +22,7 @@ from qcnnlab.harness import (
     resolve_config,
     run_experiment,
 )
+from qcnnlab.training import TrainingError
 
 DIGITS = os.path.join(os.path.dirname(__file__), "..", "data", "digits.csv")
 
@@ -138,6 +142,95 @@ def test_thread_count_does_not_change_outputs(tmp_path):
         assert (serial / name).read_bytes() == (threaded / name).read_bytes(), name
 
 
+def test_repetitions_run_on_the_calling_thread_in_order(tmp_path, monkeypatch):
+    calls = []
+    train_one_rep = harness._train_one_rep
+
+    def recording(cfg, pool, class_b, n_per_class, seed):
+        calls.append((threading.current_thread(), seed, threading.active_count()))
+        return train_one_rep(cfg, pool, class_b, n_per_class, seed)
+
+    monkeypatch.setattr(harness, "_train_one_rep", recording)
+    before = threading.active_count()
+    run_experiment(_tiny_cfg(repetitions=3, base_seed=7, threads=3), str(tmp_path / "run"))
+    assert [seed for _, seed, _ in calls] == [7, 8, 9]
+    assert all(thread is threading.main_thread() for thread, _, _ in calls)
+    assert all(count == before for _, _, count in calls)
+    assert threading.active_count() == before
+
+
+def test_failing_repetition_stops_the_run_at_once(tmp_path, monkeypatch):
+    seeds = []
+
+    def failing(cfg, pool, class_b, n_per_class, seed):
+        seeds.append(seed)
+        raise TrainingError(f"training diverged at seed {seed}")
+
+    monkeypatch.setattr(harness, "_train_one_rep", failing)
+    out = tmp_path / "run"
+    with pytest.raises(TrainingError, match="seed 0"):
+        run_experiment(_tiny_cfg(repetitions=3), str(out))
+    assert seeds == [0]
+    assert not out.exists()
+    assert os.listdir(tmp_path) == []
+
+
+def _fail_on_second_params_write(monkeypatch):
+    write_params = harness._write_params
+    calls = []
+
+    def flaky(path, params):
+        calls.append(path)
+        if len(calls) == 2:
+            raise OSError("disk full")
+        write_params(path, params)
+
+    monkeypatch.setattr(harness, "_write_params", flaky)
+    return calls
+
+
+@pytest.mark.parametrize("command", [run_experiment, compare_da])
+def test_failed_write_leaves_no_output_behind(tmp_path, monkeypatch, command):
+    calls = _fail_on_second_params_write(monkeypatch)
+    out = tmp_path / "run"
+    with pytest.raises(OSError, match="disk full"):
+        command(_tiny_cfg(), str(out))
+    assert len(calls) == 2
+    assert os.listdir(tmp_path) == []
+
+
+def test_failed_write_leaves_an_empty_out_empty(tmp_path, monkeypatch):
+    _fail_on_second_params_write(monkeypatch)
+    out = tmp_path / "empty"
+    out.mkdir()
+    with pytest.raises(OSError, match="disk full"):
+        run_experiment(_tiny_cfg(), str(out))
+    assert os.listdir(tmp_path) == ["empty"]
+    assert os.listdir(out) == []
+
+
+def test_out_is_renamed_into_place_with_the_default_mode(tmp_path):
+    made = tmp_path / "made"
+    made.mkdir()
+    out = tmp_path / "nested" / "run"
+    run_experiment(_tiny_cfg(repetitions=1), str(out) + os.sep)
+    assert sorted(os.listdir(tmp_path)) == ["made", "nested"]
+    assert os.listdir(tmp_path / "nested") == ["run"]
+    assert (out / "metrics_rep0.csv").exists()
+    assert os.stat(out).st_mode == os.stat(made).st_mode
+
+
+def test_working_directory_as_out_gets_the_files(tmp_path, monkeypatch):
+    # rename(2) cannot replace the working directory (EBUSY)
+    out = tmp_path / "run"
+    out.mkdir()
+    monkeypatch.chdir(out)
+    compare_da(_tiny_cfg(repetitions=1), ".")
+    assert os.listdir(tmp_path) == ["run"]
+    assert sorted(os.listdir(out)) == ["comparison.csv", "comparison.txt", "da", "no_da"]
+    assert (out / "da" / "metrics_rep0.csv").exists()
+
+
 def test_grid_runs_get_subdirectories(tmp_path):
     out = tmp_path / "grid"
     results = run_experiment(_tiny_cfg(n_per_class=(3, 4)), str(out))
@@ -246,6 +339,22 @@ def test_cli_train_qcnn_end_to_end(tmp_path, capsys):
     assert (out / "metrics_rep0.csv").exists()
     assert (out / "config_resolved.cfg").exists()
     assert "mean final test acc" in capsys.readouterr().out
+
+
+def test_cli_prints_one_progress_line_per_repetition(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["train-qcnn", "--out", str(out), "--data-path", DIGITS, "--n-per-class", "3",
+                 "--n-test", "6", "--epochs", "2", "--repetitions", "2", "--depth", "1"]) == 0
+    captured = capsys.readouterr()
+    accs = [float((out / f"metrics_rep{k}.csv").read_text().splitlines()[-1].split(",")[-1])
+            for k in range(2)]
+    assert captured.out == (f"0-vs-1 N=3: mean final test acc {(accs[0] + accs[1]) / 2:.4f} "
+                            f"over 2 reps\nwrote {out}\n")
+    lines = captured.err.splitlines()
+    assert len(lines) == 2
+    for k, (line, acc) in enumerate(zip(lines, accs)):
+        assert re.fullmatch(rf"0-vs-1 N=3 rep {k + 1}/2: final test acc {acc:.4f}, \d+\.\d\d s",
+                            line), line
 
 
 def test_cli_train_cnn_end_to_end(tmp_path):
