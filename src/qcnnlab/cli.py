@@ -157,7 +157,7 @@ def _check_dense_oracle():
         assert np.max(np.abs(state - dense)) < 1e-10
 
 
-def _check_fused_blocks():
+def _check_block_build():
     rng = np.random.default_rng(6)
     for n, d in ((4, 1), (6, 2)):
         arch = build_architecture(n, d)
@@ -251,7 +251,7 @@ def _check_round_trips():
 _SELFTEST_CHECKS = (
     ("gate algebra", _check_gate_algebra),
     ("dense circuit oracle", _check_dense_oracle),
-    ("fused blocks match per-gate circuit", _check_fused_blocks),
+    ("fused blocks match per-gate circuit", _check_block_build),
     ("pooling branch equivalence", _check_pooling_branches),
     ("gradient engines agree", _check_gradients),
     ("cnn gradient matches finite differences", _check_cnn_gradients),

@@ -236,17 +236,7 @@ def _train_one_rep(cfg: ExperimentConfig, pool: Dataset, class_b: int,
     return tuple(rows), trained.pack()
 
 
-# glibc's malloc hands a heap's free top back to the kernel once it exceeds
-# twice the largest mmap-ed block freed so far (mallopt(3)), and the main
-# arena, which serves the main thread the repetitions run on, would then
-# page-fault a step's few MB of temporaries in again every epoch, for either
-# model.  Freeing one block of this many float64s (8 MB) lifts that bar to
-# 16 MB for the whole process; other allocators just see one free.
-_HEAP_TRIM_LIFT = 1 << 20
-
-
 def _compute_experiment(cfg: ExperimentConfig, pool: Dataset) -> list[RunResult]:
-    np.empty(_HEAP_TRIM_LIFT)  # allocated and freed at once
     results = []
     for class_b in cfg.class_b:
         for n in cfg.n_per_class:

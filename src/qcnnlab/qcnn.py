@@ -19,30 +19,30 @@ final layer, so the total is 18*d + 4**r - 1.
 
 The simulated circuit is a list of fused blocks (:func:`circuit_ops`): one
 4x4 matrix per convolution pair and per pooling pair, and one 2**r x 2**r
-matrix for the final layer, each carrying its derivative for every angle
-it depends on.  The per-gate builders (:func:`conv_block_ops`,
-:func:`pool_block_ops`, :func:`flatten_block_ops`) stay the one definition
-of the gates; a block is their product on local wires.
+matrix for the final layer, each always carrying its derivative for every
+angle it depends on.  A cached table places closed-form gate stacks, which
+are multiplied in gate order, so a block is bit for bit the product of the
+per-gate builders (:func:`conv_block_ops`, :func:`pool_block_ops`,
+:func:`flatten_block_ops`), which stay the one definition of the gates.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
 from .embedding import amplitude_embed, embed_columns
 from .simulator import (
+    _ISING_GENERATORS,
     PAULIS,
     _apply_gate,
     apply_gate,
     controlled,
     ising_matrix,
-    ising_matrix_grad,
     readout_prob_one,
     u3_matrix,
-    u3_matrix_grads,
 )
 
 
@@ -125,9 +125,10 @@ def split_params(arch: Architecture, params) -> tuple[list[tuple[np.ndarray, np.
 class GateOp:
     """One gate or fused block applied to ``targets``.
 
-    ``grads`` is empty or a pair (parameter indices, dM/dtheta stacked as a
-    (P, k, k) array), one derivative per index; within one op the indices
-    are distinct.
+    ``grads`` is empty for the per-gate builders' ops.  Every block from
+    :func:`circuit_ops` carries it: a pair (parameter indices, dM/dtheta
+    stacked as a (P, k, k) array), one derivative per index; within one op
+    the indices are distinct.
     """
 
     matrix: np.ndarray
@@ -135,31 +136,7 @@ class GateOp:
     grads: tuple = ()
 
 
-def _u3_op(angles, wire, base, with_grads) -> GateOp:
-    m = u3_matrix(*angles)
-    if not with_grads:
-        return GateOp(m, (wire,))
-    return GateOp(m, (wire,), ((base, base + 1, base + 2), u3_matrix_grads(*angles)))
-
-
-def _controlled_u3_op(angles, control, target, base, with_grads) -> GateOp:
-    m = controlled(u3_matrix(*angles))
-    if not with_grads:
-        return GateOp(m, (control, target))
-    big = np.zeros((3, 4, 4), dtype=np.complex128)
-    big[:, 2:, 2:] = u3_matrix_grads(*angles)
-    return GateOp(m, (control, target), ((base, base + 1, base + 2), big))
-
-
-def _ising_op(kind, theta, pair, idx, with_grads) -> GateOp:
-    m = ising_matrix(kind, theta)
-    if not with_grads:
-        return GateOp(m, pair)
-    return GateOp(m, pair, ((idx,), ising_matrix_grad(kind, theta)[None]))
-
-
-def conv_block_ops(weights15, wires, first_depth: bool, base: int = 0,
-                   with_grads: bool = False) -> list[GateOp]:
+def conv_block_ops(weights15, wires, first_depth: bool) -> list[GateOp]:
     """Shared-parameter convolution over adjacent pairs of ``wires``, gate by gate.
 
     Two sub-rounds cover even-offset then odd-offset pairs.  Every pair gets
@@ -178,17 +155,16 @@ def conv_block_ops(weights15, wires, first_depth: bool, base: int = 0,
         for i in range(parity, len(wires) - 1, 2):
             a, b = wires[i], wires[i + 1]
             if parity == 0 and first_depth:
-                ops.append(_u3_op(w[0:3], a, base + 0, with_grads))
-                ops.append(_u3_op(w[3:6], b, base + 3, with_grads))
+                ops.append(GateOp(u3_matrix(*w[0:3]), (a,)))
+                ops.append(GateOp(u3_matrix(*w[3:6]), (b,)))
             for k, kind in enumerate(("XX", "YY", "ZZ")):
-                ops.append(_ising_op(kind, w[6 + k], (a, b), base + 6 + k, with_grads))
-            ops.append(_u3_op(w[9:12], a, base + 9, with_grads))
-            ops.append(_u3_op(w[12:15], b, base + 12, with_grads))
+                ops.append(GateOp(ising_matrix(kind, w[6 + k]), (a, b)))
+            ops.append(GateOp(u3_matrix(*w[9:12]), (a,)))
+            ops.append(GateOp(u3_matrix(*w[12:15]), (b,)))
     return ops
 
 
-def pool_block_ops(weights3, wires, base: int = 0,
-                   with_grads: bool = False) -> tuple[list[GateOp], tuple[int, ...]]:
+def pool_block_ops(weights3, wires) -> tuple[list[GateOp], tuple[int, ...]]:
     """Pooling over ``wires``: condition each odd-position wire's left
     neighbour on it, keep the even-position wires.
 
@@ -200,10 +176,7 @@ def pool_block_ops(weights3, wires, base: int = 0,
         raise WeightLengthMismatch(f"pooling takes {POOL_WEIGHTS} weights, got {len(w)}")
     if len(wires) < 2:
         raise QcnnError("pooling needs at least 2 wires")
-    ops = [
-        _controlled_u3_op(w, wires[j], wires[j - 1], base, with_grads)
-        for j in range(1, len(wires), 2)
-    ]
+    ops = [GateOp(controlled(u3_matrix(*w)), (wires[j], wires[j - 1])) for j in range(1, len(wires), 2)]
     return ops, tuple(wires[0::2])
 
 
@@ -233,13 +206,7 @@ def pauli_rotation(word: str, theta: float) -> np.ndarray:
     return np.cos(theta / 2) * np.eye(dim, dtype=np.complex128) - 1j * np.sin(theta / 2) * w
 
 
-def pauli_rotation_grad(word: str, theta: float) -> np.ndarray:
-    dim = 2 ** len(word)
-    w = pauli_word_matrix(word)
-    return -0.5 * np.sin(theta / 2) * np.eye(dim, dtype=np.complex128) - 0.5j * np.cos(theta / 2) * w
-
-
-def flatten_block_ops(weights, wires, base: int = 0, with_grads: bool = False) -> list[GateOp]:
+def flatten_block_ops(weights, wires) -> list[GateOp]:
     """Universal layer on the survivors, gate by gate: one rotation per
     nonidentity Pauli word over the r wires, in base-4 counting order
     (leftmost digit is the lowest-indexed wire), 4**r - 1 rotations in total.
@@ -249,103 +216,150 @@ def flatten_block_ops(weights, wires, base: int = 0, with_grads: bool = False) -
     if len(w) != 4**r - 1:
         raise WeightLengthMismatch(f"final layer on {r} wires takes {4**r - 1} weights, got {len(w)}")
     targets = tuple(wires)
-    ops = []
-    for k in range(1, 4**r):
-        word = pauli_word(k, r)
-        m = pauli_rotation(word, w[k - 1])
-        grads = ((base + k - 1,), pauli_rotation_grad(word, w[k - 1])[None]) if with_grads else ()
-        ops.append(GateOp(m, targets, grads))
-    return ops
+    return [GateOp(pauli_rotation(pauli_word(k, r), w[k - 1]), targets) for k in range(1, 4**r)]
 
 
 # ---------------------------------------------------------------------------
 # fused blocks
 # ---------------------------------------------------------------------------
 
+# A convolution block is a chain of seven gates on local wires (0, 1): U3 on
+# wire 0, U3 on wire 1, XX, YY, ZZ, U3 on wire 0, U3 on wire 1; the first two
+# exist only in the first depth's even-offset block.  A depth's five U3s take
+# weights 0-2, 3-5, 9-11 and 12-14, and 15-17 for pooling.  A block's
+# derivatives run last gate first; per derivative, its chain position and weight.
+_U3_WEIGHTS = np.array([[0, 1, 2], [3, 4, 5], [9, 10, 11], [12, 13, 14], [15, 16, 17]])
+_ISING = np.stack([_ISING_GENERATORS[kind] for kind in ("XX", "YY", "ZZ")])  # ising_matrix's own, bit for bit
+_DERIV_POS = np.array([6, 6, 6, 5, 5, 5, 4, 3, 2, 1, 1, 1, 0, 0, 0])
+_DERIV_WEIGHT = np.array([12, 13, 14, 9, 10, 11, 8, 7, 6, 3, 4, 5, 0, 1, 2])
+
+
+def _place(blocks: np.ndarray, u: np.ndarray, wire) -> None:
+    """Write one-qubit gates ``u`` (..., 2, 2) into 4x4 ``blocks``: kron(U, I)
+    on local wire 0, kron(I, U) on wire 1, and for ``None`` the pooling gate,
+    controlled by local wire 1, which keeps the rest of the block."""
+    if wire == 0:
+        blocks[..., 0::2, 0::2] = blocks[..., 1::2, 1::2] = u
+    elif wire == 1:
+        blocks[..., :2, :2] = blocks[..., 2:, 2:] = u
+    else:
+        blocks[..., 1::2, 1::2] = u
+
+
 @lru_cache(maxsize=None)
-def _embedding_index(local_targets: tuple[int, ...], k: int):
-    """Where each entry of a gate on ``local_targets`` lands in a k-wire block.
+def _chain_table(depth: int) -> tuple[np.ndarray, np.ndarray]:
+    """Where :func:`circuit_ops` gathers each entry of the 4x4 chain's gates
+    (7, rows, 4, 4) and derivatives (rows, 15, 4, 4) from, as positions in
+    [U3s, Ising rotations, 0, 1] and [dU3s, dIsing, 0, 1].
 
-    Block wire p is bit k-1-p of the block's index (wire 0 most
-    significant).  Returns (rows, cols, gate_rows, gate_cols) for
-    ``block[rows, cols] = gate[gate_rows, gate_cols]``.
+    Row 0 is the first depth's head convolution block, rows 1..D the plain
+    ones, with the identity at the head positions, and rows D+1..2D the
+    pooling blocks, with their gate at the last position.  Derivatives
+    follow _DERIV_POS; plain rows use the first 9 and pooling rows 3.
     """
-    rest = tuple(p for p in range(k) if p not in local_targets)
-
-    def place(values, wires):
-        out = np.zeros_like(values)
-        for j, p in enumerate(wires):
-            out |= ((values >> (len(wires) - 1 - j)) & 1) << (k - 1 - p)
-        return out
-
-    g = np.arange(2 ** len(local_targets))
-    gi, gj, s = (a.reshape(-1) for a in np.meshgrid(g, g, np.arange(2 ** len(rest)), indexing="ij"))
-    spectator = place(s, rest)
-    return place(gi, local_targets) | spectator, place(gj, local_targets) | spectator, gi, gj
-
-
-def _embed(m: np.ndarray, local_targets: tuple[int, ...], k: int) -> np.ndarray:
-    """A gate (or a stack of them) on ``local_targets`` as 2**k x 2**k blocks."""
-    if local_targets == tuple(range(k)):
-        return m
-    rows, cols, gi, gj = _embedding_index(local_targets, k)
-    out = np.zeros(m.shape[:-2] + (2**k, 2**k), dtype=np.complex128)
-    out[..., rows, cols] = m[..., gi, gj]
-    return out
+    u, du = np.arange(20 * depth).reshape(depth, 5, 2, 2), np.arange(60 * depth).reshape(depth, 5, 3, 2, 2)
+    x, dx = (offset + np.arange(48 * depth).reshape(depth, 3, 4, 4) for offset in (20 * depth, 60 * depth))
+    conv = [0, *range(depth)] if depth else []  # the depth of each convolution row
+    gates = np.full((7, len(conv) + depth, 4, 4), -2)  # -2 and -1 index the trailing 0 and 1
+    gates[..., range(4), range(4)] = -1
+    derivs = np.full((len(conv) + depth, 15, 4, 4), -2)
+    for pos, slot, wire, k in ((0, 0, 0, 12), (1, 1, 1, 9), (5, 2, 0, 3), (6, 3, 1, 0)):
+        rows = slice(0, 1 if pos < 2 else depth + 1)
+        _place(gates[pos, rows], u[conv[rows], slot], wire)
+        _place(derivs[rows, k:k + 3], du[conv[rows], slot], wire)
+    gates[2:5, :depth + 1] = np.swapaxes(x[conv], 0, 1)
+    derivs[:depth + 1, 6:9] = dx[conv, ::-1]
+    _place(gates[6, depth + 1:], u[:, 4], None)
+    _place(derivs[depth + 1:, :3], du[:, 4], None)
+    return gates, derivs
 
 
-def _fuse(ops, k: int, with_grads: bool) -> GateOp:
-    """Multiply per-gate ``ops`` on local wires 0..k-1 into one block.
+@lru_cache(maxsize=None)
+def _readout_words(r: int) -> np.ndarray:
+    """The readout's (4**r - 1, 2**r, 2**r) Pauli words in gate order, built once per r."""
+    return np.stack([pauli_word_matrix(pauli_word(k, r)) for k in range(1, 4**r)])
 
-    Local wire p becomes the block's p-th target.  With ``with_grads``, the
-    derivative for a parameter of gate j is (gates after j) dG_j (gates
-    before j), taken from prefix and suffix products.
+
+def _u3_stacks(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`u3_matrix` and its (theta, phi, lam) derivatives for a (..., 3)
+    stack of angles, as (..., 4) and (..., 12) entries, each the same
+    expression as in the one-gate closed form."""
+    theta, phi, lam = angles[..., 0], angles[..., 1], angles[..., 2]
+    c, s = np.cos(theta / 2), np.sin(theta / 2)
+    ep, el, epl = np.exp(1j * phi), np.exp(1j * lam), np.exp(1j * (phi + lam))
+    zero = np.zeros_like(ep)
+    m = np.stack([c, -el * s, ep * s, epl * c], axis=-1)
+    dm = np.stack([-0.5 * s, -0.5 * el * c, 0.5 * ep * c, -0.5 * epl * s,
+                   zero, zero, 1j * ep * s, 1j * epl * c,
+                   zero, -1j * el * s, zero, 1j * epl * c], axis=-1)
+    return m, dm
+
+
+def _rotations(theta: np.ndarray, words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """exp(-i*(theta/2)*W) and its theta-derivative, broadcast over stacks of
+    angles and Pauli words, in the form of :func:`pauli_rotation`."""
+    c, s = np.cos(theta / 2)[..., None, None], np.sin(theta / 2)[..., None, None]
+    eye = np.eye(words.shape[-1], dtype=np.complex128)
+    return c * eye - 1j * s * words, -0.5 * s * eye - 0.5j * c * words
+
+
+def _chain(gates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Prefix and suffix products of a (L, ..., k, k) gate chain, in gate order.
+
+    prefix[j] = G[j-1] ... G[0] (prefix[0] = I, prefix[L] the block) and
+    suffix[j] = G[L-1] ... G[j+1] (suffix[L-1] = I).  work[j] holds prefix[j],
+    G[L-1-j], G[j] and suffix[L-1-j], so one batched matmul per step,
+    work[j, 2:] @ work[j, :2], yields prefix[j+1] and suffix[L-2-j].
     """
-    dim = 2**k
-    mats = [_embed(op.matrix, op.targets, k) for op in ops]
-    prefix = [np.eye(dim, dtype=np.complex128)]
-    for m in mats:
-        prefix.append(m @ prefix[-1])
-    local = tuple(range(k))
-    if not with_grads:
-        return GateOp(prefix[-1], local)
-    suffix = np.eye(dim, dtype=np.complex128)
-    index, derivs = [], []
-    for j in range(len(ops) - 1, -1, -1):
-        pidx, dstack = ops[j].grads
-        index.extend(pidx)
-        derivs.append(suffix @ _embed(dstack, ops[j].targets, k) @ prefix[j])
-        suffix = suffix @ mats[j]
-    return GateOp(prefix[-1], local, (np.array(index), np.concatenate(derivs)))
+    n = len(gates)
+    work = np.empty((n + 1, 4) + gates.shape[1:], dtype=np.complex128)
+    work[0, 0] = work[0, 3] = np.eye(gates.shape[-1])
+    work[:n, 1] = gates[::-1]
+    work[:n, 2] = gates
+    for j in range(n):
+        np.matmul(work[j, 2:], work[j, :2], out=work[j + 1, ::3])
+    return work[:, 0], work[n - 1::-1, 3]
 
 
-def circuit_ops(arch: Architecture, params, with_grads: bool = False) -> list[GateOp]:
-    """The circuit for one forward pass as fused blocks, embedding excluded.
+def circuit_ops(arch: Architecture, params) -> list[GateOp]:
+    """The circuit for one forward pass as fused blocks with their derivatives, embedding excluded.
 
     One 4x4 block per convolution pair, one per pooling pair and one
-    2**r x 2**r block for the final layer.  Each distinct block is built once
-    from the per-gate ops on local wires (0, 1) (the readout layer on
-    0..r-1) and shared by every pair it acts on: the first depth has a
-    conv block with head unitaries for the even-offset pairs and one
-    without for the odd-offset pairs; later depths have one conv block.
+    2**r x 2**r block for the final layer; each distinct block is shared by
+    every pair it acts on.  All U3s, Ising and readout rotations are
+    evaluated with their derivatives as closed-form stacks, and one gather
+    through :func:`_chain_table` places them.  The chains are multiplied in
+    gate order (:func:`_chain`), and a parameter of gate j gets
+    suffix[j] @ dG_j @ prefix[j], so each result is the per-gate product,
+    term for term.
     """
-    blocks, flat_w = split_params(arch, params)
-    pair = (0, 1)
+    params = np.asarray(params, dtype=np.float64).reshape(-1)
+    _, readout_w = split_params(arch, params)
+    depth = arch.depth
+    w = params[:BLOCK_WEIGHTS * depth].reshape(depth, BLOCK_WEIGHTS)
+    u, du = _u3_stacks(w[:, _U3_WEIGHTS])
+    x, dx = _rotations(w[:, 6:9], _ISING)
+    const = np.array([0, 1], dtype=np.complex128)
+    gate_at, deriv_at = _chain_table(depth)
+    prefix, suffix = _chain(np.concatenate([u.ravel(), x.ravel(), const])[gate_at])
+    dg = np.concatenate([du.ravel(), dx.ravel(), const])[deriv_at]
+    derivs = suffix[_DERIV_POS].swapaxes(0, 1) @ dg @ prefix[_DERIV_POS].swapaxes(0, 1)
+    blocks = prefix[-1].copy()  # copies, so that the ops do not hold the chain buffers
     ops: list[GateOp] = []
     for d, wires in enumerate(arch.active_wires):
         base = BLOCK_WEIGHTS * d
-        conv_w, pool_w = blocks[d]
-        plain = _fuse(conv_block_ops(conv_w, pair, False, base, with_grads), 2, with_grads)
-        head = _fuse(conv_block_ops(conv_w, pair, True, base, with_grads), 2, with_grads) if d == 0 else plain
-        for parity, block in ((0, head), (1, plain)):
-            ops += [replace(block, targets=(wires[i], wires[i + 1]))
-                    for i in range(parity, len(wires) - 1, 2)]
-        pool = _fuse(pool_block_ops(pool_w, pair, base + CONV_WEIGHTS, with_grads)[0], 2, with_grads)
-        ops += [replace(pool, targets=(wires[j - 1], wires[j])) for j in range(1, len(wires), 2)]
-    r = len(arch.remaining_wires)
-    readout = _fuse(flatten_block_ops(flat_w, tuple(range(r)), BLOCK_WEIGHTS * arch.depth, with_grads),
-                    r, with_grads)
-    ops.append(replace(readout, targets=arch.remaining_wires))
+        plain = blocks[d + 1], (base + _DERIV_WEIGHT[:9], derivs[d + 1, :9])
+        head = (blocks[0], (base + _DERIV_WEIGHT, derivs[0])) if d == 0 else plain
+        pool = blocks[depth + 1 + d], (np.arange(base + CONV_WEIGHTS, base + BLOCK_WEIGHTS), derivs[depth + 1 + d, :3])
+        # pooling pairs an odd-position wire with its left neighbour: the even-offset pairs
+        for parity, (m, grads) in ((0, head), (1, plain), (0, pool)):
+            ops += [GateOp(m, (wires[i], wires[i + 1]), grads) for i in range(parity, len(wires) - 1, 2)]
+
+    g, dg = _rotations(readout_w, _readout_words(len(arch.remaining_wires)))
+    prefix, suffix = _chain(g)
+    derivs = suffix[::-1] @ dg[::-1] @ prefix[-2::-1]
+    index = np.arange(arch.param_count - 1, BLOCK_WEIGHTS * depth - 1, -1)
+    ops.append(GateOp(prefix[-1].copy(), arch.remaining_wires, (index, derivs)))
     return ops
 
 

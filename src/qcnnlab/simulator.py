@@ -98,22 +98,6 @@ def u3_matrix(theta: float, phi: float, lam: float) -> np.ndarray:
     )
 
 
-def u3_matrix_grads(theta: float, phi: float, lam: float) -> np.ndarray:
-    """Entrywise partial derivatives of :func:`u3_matrix` wrt (theta, phi, lam),
-    stacked as a (3, 2, 2) array."""
-    c, s = np.cos(theta / 2), np.sin(theta / 2)
-    ep, el, epl = np.exp(1j * phi), np.exp(1j * lam), np.exp(1j * (phi + lam))
-    return np.array(
-        [[[-0.5 * s, -0.5 * el * c],
-          [0.5 * ep * c, -0.5 * epl * s]],
-         [[0, 0],
-          [1j * ep * s, 1j * epl * c]],
-         [[0, -1j * el * s],
-          [0, 1j * epl * c]]],
-        dtype=np.complex128,
-    )
-
-
 def axis_rotation_matrix(alpha: float, axis: tuple[float, float, float]) -> np.ndarray:
     """exp(-i*(alpha/2)*(n . sigma)) for a unit axis n = (nx, ny, nz)."""
     nx, ny, nz = axis
@@ -132,12 +116,6 @@ def ising_matrix(kind: str, theta: float) -> np.ndarray:
     if kind not in _ISING_GENERATORS:
         raise SimulatorError(f"unknown Ising kind {kind!r}")
     return np.cos(theta / 2) * np.eye(4, dtype=np.complex128) - 1j * np.sin(theta / 2) * _ISING_GENERATORS[kind]
-
-
-def ising_matrix_grad(kind: str, theta: float) -> np.ndarray:
-    """d/dtheta of :func:`ising_matrix`."""
-    return (-0.5 * np.sin(theta / 2) * np.eye(4, dtype=np.complex128)
-            - 0.5j * np.cos(theta / 2) * _ISING_GENERATORS[kind])
 
 
 def is_unitary(g: np.ndarray, tol: float = 1e-10) -> bool:

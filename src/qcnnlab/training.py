@@ -9,10 +9,11 @@ d(loss)/d(angle) of that block off it with the closed-form block
 derivatives; a central finite-difference oracle checks it.  Batches are
 evolved as columns of one matrix, so an epoch is a few dozen small matmuls
 rather than a Python loop over samples.  An epoch augments (if enabled)
-and embeds its batch in one array pass, and builds the circuit once: the
-blocks for the parameters after a step serve both that step's metrics and
-the next step's gradient, which without augmentation also reuses the
-metrics' train-set forward.
+and embeds its batch in one array pass, and builds the circuit once, every
+block with its derivatives from one closed-form table: the blocks for the
+parameters after a step serve both that step's metrics and the next step's
+gradient, which without augmentation also reuses the metrics' train-set
+forward.
 """
 
 from __future__ import annotations
@@ -151,7 +152,8 @@ class _Circuit:
     def ops(self, params) -> list:
         key = np.asarray(params, dtype=np.float64).tobytes()
         if key != self._key:
-            self._key, self._ops, self._kept = key, circuit_ops(self.arch, params, with_grads=True), None
+            self._key = self._ops = self._kept = None  # free the old blocks before the build
+            self._ops, self._key = circuit_ops(self.arch, params), key
         return self._ops
 
     def scores(self, params, batches, labels):
@@ -260,6 +262,15 @@ def _check_binary(labels, what: str) -> np.ndarray:
     return labels.astype(np.int64)
 
 
+# glibc's malloc hands a heap's free top back to the kernel once it exceeds
+# twice the largest mmap-ed block freed so far (mallopt(3)), and the main
+# arena, which serves the main thread, would then page-fault a step's few MB
+# of temporaries in again every epoch, for either model.  Freeing one block
+# of this many float64s (8 MB) lifts that bar to 16 MB for the whole
+# process; other allocators just see one free.
+_HEAP_TRIM_LIFT = 1 << 20
+
+
 def fit(params, train_set, test_set, cfg: TrainConfig, augment_cfg: AugmentConfig | None,
         *, encode, grad, scores):
     """Full-batch Adam training; returns (per-epoch metrics, final params).
@@ -272,6 +283,7 @@ def fit(params, train_set, test_set, cfg: TrainConfig, augment_cfg: AugmentConfi
     the clean sets after the step.  A step that leaves a non-finite
     parameter or loss raises TrainingError.
     """
+    np.empty(_HEAP_TRIM_LIFT)  # allocated and freed at once
     labels = (_check_binary(train_set.labels(), "train"), _check_binary(test_set.labels(), "test"))
     train_images = train_set.images()
     clean = (encode(train_images), encode(test_set.images()))

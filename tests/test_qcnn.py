@@ -1,5 +1,8 @@
 """Circuit architecture, layers, forward pass, and the measurement oracle."""
 
+from dataclasses import replace
+from functools import lru_cache
+
 import numpy as np
 import pytest
 
@@ -272,7 +275,7 @@ def test_fused_block_derivatives_match_finite_differences():
     arch = qcnn.build_architecture(4, 1)
     params = rng.uniform(-np.pi, np.pi, arch.param_count)
     step = 1e-6
-    for j, op in enumerate(qcnn.circuit_ops(arch, params, with_grads=True)):
+    for j, op in enumerate(qcnn.circuit_ops(arch, params)):
         index, derivs = op.grads
         assert len(set(index.tolist())) == len(index)
         for p, dm in zip(index, derivs):
@@ -281,6 +284,160 @@ def test_fused_block_derivatives_match_finite_differences():
             down[p] -= step
             fd = (qcnn.circuit_ops(arch, up)[j].matrix - qcnn.circuit_ops(arch, down)[j].matrix) / (2 * step)
             np.testing.assert_allclose(dm, fd, atol=1e-8)
+
+
+# ---------------------------------------------------------------------------
+# reference build: per-gate ops with derivatives, fused block by block
+# ---------------------------------------------------------------------------
+
+def _u3_grads(theta, phi, lam):
+    """Entrywise (theta, phi, lam) derivatives of sim.u3_matrix, stacked (3, 2, 2)."""
+    c, s = np.cos(theta / 2), np.sin(theta / 2)
+    ep, el, epl = np.exp(1j * phi), np.exp(1j * lam), np.exp(1j * (phi + lam))
+    return np.array(
+        [[[-0.5 * s, -0.5 * el * c],
+          [0.5 * ep * c, -0.5 * epl * s]],
+         [[0, 0],
+          [1j * ep * s, 1j * epl * c]],
+         [[0, -1j * el * s],
+          [0, 1j * epl * c]]],
+        dtype=np.complex128,
+    )
+
+
+def _rotation_grad(generator, theta):
+    """d/dtheta of cos(theta/2) I - i sin(theta/2) W."""
+    return (-0.5 * np.sin(theta / 2) * np.eye(len(generator), dtype=np.complex128)
+            - 0.5j * np.cos(theta / 2) * generator)
+
+
+def _u3_op(angles, wire, base):
+    return qcnn.GateOp(sim.u3_matrix(*angles), (wire,), ((base, base + 1, base + 2), _u3_grads(*angles)))
+
+
+def _reference_conv(w, head, base):
+    ops = [_u3_op(w[0:3], 0, base), _u3_op(w[3:6], 1, base + 3)] if head else []
+    for k, kind in enumerate(("XX", "YY", "ZZ")):
+        generator = np.kron(sim.PAULIS[kind[0]], sim.PAULIS[kind[1]])
+        ops.append(qcnn.GateOp(sim.ising_matrix(kind, w[6 + k]), (0, 1),
+                               ((base + 6 + k,), _rotation_grad(generator, w[6 + k])[None])))
+    return ops + [_u3_op(w[9:12], 0, base + 9), _u3_op(w[12:15], 1, base + 12)]
+
+
+def _reference_pool(w, base):
+    big = np.zeros((3, 4, 4), dtype=np.complex128)
+    big[:, 2:, 2:] = _u3_grads(*w)
+    return [qcnn.GateOp(sim.controlled(sim.u3_matrix(*w)), (1, 0), ((base, base + 1, base + 2), big))]
+
+
+def _reference_readout(w, r, base):
+    ops = []
+    for k in range(1, 4**r):
+        word = qcnn.pauli_word(k, r)
+        grad = _rotation_grad(qcnn.pauli_word_matrix(word), w[k - 1])
+        ops.append(qcnn.GateOp(qcnn.pauli_rotation(word, w[k - 1]), tuple(range(r)), ((base + k - 1,), grad[None])))
+    return ops
+
+
+@lru_cache(maxsize=None)
+def _embedding_index(local_targets, k):
+    rest = tuple(p for p in range(k) if p not in local_targets)
+
+    def place(values, wires):
+        out = np.zeros_like(values)
+        for j, p in enumerate(wires):
+            out |= ((values >> (len(wires) - 1 - j)) & 1) << (k - 1 - p)
+        return out
+
+    g = np.arange(2 ** len(local_targets))
+    gi, gj, s = (a.reshape(-1) for a in np.meshgrid(g, g, np.arange(2 ** len(rest)), indexing="ij"))
+    spectator = place(s, rest)
+    return place(gi, local_targets) | spectator, place(gj, local_targets) | spectator, gi, gj
+
+
+def _embed(m, local_targets, k):
+    """A gate (or a stack of them) on ``local_targets`` as 2**k x 2**k blocks."""
+    if local_targets == tuple(range(k)):
+        return m
+    rows, cols, gi, gj = _embedding_index(local_targets, k)
+    out = np.zeros(m.shape[:-2] + (2**k, 2**k), dtype=np.complex128)
+    out[..., rows, cols] = m[..., gi, gj]
+    return out
+
+
+def _fuse(ops, k):
+    """Per-gate ``ops`` on local wires 0..k-1 as one block; the derivative for a
+    parameter of gate j is (gates after j) dG_j (gates before j)."""
+    dim = 2**k
+    mats = [_embed(op.matrix, op.targets, k) for op in ops]
+    prefix = [np.eye(dim, dtype=np.complex128)]
+    for m in mats:
+        prefix.append(m @ prefix[-1])
+    suffix = np.eye(dim, dtype=np.complex128)
+    index, derivs = [], []
+    for j in range(len(ops) - 1, -1, -1):
+        pidx, dstack = ops[j].grads
+        index.extend(pidx)
+        derivs.append(suffix @ _embed(dstack, ops[j].targets, k) @ prefix[j])
+        suffix = suffix @ mats[j]
+    return qcnn.GateOp(prefix[-1], tuple(range(k)), (np.array(index), np.concatenate(derivs)))
+
+
+def reference_circuit_ops(arch, params):
+    """circuit_ops built gate by gate and fused one distinct block at a time."""
+    blocks, flat_w = qcnn.split_params(arch, params)
+    ops = []
+    for d, wires in enumerate(arch.active_wires):
+        base = qcnn.BLOCK_WEIGHTS * d
+        conv_w, pool_w = blocks[d]
+        plain = _fuse(_reference_conv(conv_w, False, base), 2)
+        head = _fuse(_reference_conv(conv_w, True, base), 2) if d == 0 else plain
+        for parity, block in ((0, head), (1, plain)):
+            ops += [replace(block, targets=(wires[i], wires[i + 1])) for i in range(parity, len(wires) - 1, 2)]
+        pool = _fuse(_reference_pool(pool_w, base + qcnn.CONV_WEIGHTS), 2)
+        ops += [replace(pool, targets=(wires[j - 1], wires[j])) for j in range(1, len(wires), 2)]
+    r = len(arch.remaining_wires)
+    readout = _fuse(_reference_readout(flat_w, r, qcnn.BLOCK_WEIGHTS * arch.depth), r)
+    return ops + [replace(readout, targets=arch.remaining_wires)]
+
+
+def allowed_shapes():
+    """Every architecture with n = 2..12 that the register allows, up to a
+    4-wire readout: a 5-wire one already holds 1023 dense 32x32 derivatives."""
+    for n in range(2, 13):
+        for d in range(n):
+            try:
+                arch = qcnn.build_architecture(n, d)
+            except qcnn.TooDeep:
+                break
+            if len(arch.remaining_wires) <= 4:
+                yield arch
+
+
+def test_circuit_ops_is_bitwise_the_per_gate_fused_reference():
+    rng = np.random.default_rng(34)
+    for arch in allowed_shapes():
+        for _ in range(3):
+            params = rng.uniform(-np.pi, np.pi, arch.param_count)
+            got, want = qcnn.circuit_ops(arch, params), reference_circuit_ops(arch, params)
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                assert g.targets == w.targets
+                assert np.array_equal(g.matrix, w.matrix)
+                (g_index, g_derivs), (w_index, w_derivs) = g.grads, w.grads
+                assert sorted(g_index.tolist()) == sorted(w_index.tolist())
+                by_index = dict(zip(w_index.tolist(), w_derivs))
+                for p, dm in zip(g_index.tolist(), g_derivs):
+                    assert np.array_equal(dm, by_index[p])
+                eye = np.eye(len(g.matrix))
+                assert np.max(np.abs(g.matrix.conj().T @ g.matrix - eye)) <= 1e-10
+
+
+def test_circuit_ops_rejects_wrong_param_length():
+    arch = qcnn.build_architecture(6, 2)
+    for count in (arch.param_count - 1, arch.param_count + 1):
+        with pytest.raises(qcnn.WeightLengthMismatch):
+            qcnn.circuit_ops(arch, np.zeros(count))
 
 
 # ---------------------------------------------------------------------------
