@@ -13,9 +13,13 @@ once; its backward pass takes the weight and bias gradients from one
 matmul with the same matrix and the input gradient from one matmul and k*k
 strided adds (col2im).  The first layer's input gradient, which is with
 respect to the images, is not computed.  Pooling finds each window's max
-and first-wins entry with elementwise ops over the four window entries.
+and first-wins entry with elementwise ops over the four window entries,
+and its backward pass is one masked strided copy per window entry.
 Every backward pass is checked against central finite differences in the
-test suite.
+test suite.  The model is split into an encode, forward, score and backward
+step, which :func:`training.fit` drives: without augmentation, the
+train-set forward that scores one step is the one the next step's gradient
+starts from.
 """
 
 from __future__ import annotations
@@ -198,13 +202,11 @@ def maxpool2x2(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def maxpool2x2_backward(x_shape, route: np.ndarray, dout: np.ndarray) -> np.ndarray:
-    m, h, w, c = x_shape
-    h2, w2 = h // 2, w // 2
-    dwin = np.zeros((m, h2, w2, 4, c))
-    np.put_along_axis(dwin, route[:, :, :, None, :], dout[:, :, :, None, :], axis=3)
-    dwin = dwin.reshape(m, h2, w2, 2, 2, c).transpose(0, 1, 3, 2, 4, 5)
+    """Each pooled gradient to its routed window entry, zero elsewhere."""
+    h2, w2 = x_shape[1] // 2, x_shape[2] // 2
     dx = np.zeros(x_shape)
-    dx[:, : 2 * h2, : 2 * w2, :] = dwin.reshape(m, 2 * h2, 2 * w2, c)
+    for e in range(4):  # entry e = 2 * row + col of its window
+        np.copyto(dx[:, e // 2 : 2 * h2 : 2, e % 2 : 2 * w2 : 2, :], dout, where=route == e)
     return dx
 
 
@@ -224,8 +226,13 @@ def _xent_rows(logits: np.ndarray, labels: np.ndarray) -> float:
 # full model
 # ---------------------------------------------------------------------------
 
+def _encode(images) -> np.ndarray:
+    """An (m, h, w) stack or list of images as the (m, h, w, 1) network input."""
+    return np.asarray(images, dtype=np.float64)[..., None]
+
+
 def _forward(model: CnnModel, x: np.ndarray):
-    """Logits plus the per-layer caches the backward pass replays."""
+    """Logits, plus the logits and per-layer caches the backward pass replays."""
     caches = []
     for kern, bias in zip(model.kernels, model.conv_biases):
         act = relu(conv2d(x, kern, bias))
@@ -235,20 +242,19 @@ def _forward(model: CnnModel, x: np.ndarray):
     m = x.shape[0]
     flat = x.reshape(m, -1)
     logits = flat @ model.dense_w + model.dense_b
-    return logits, (caches, flat, x.shape)
+    return logits, (caches, flat, x.shape, logits)
 
 
-def cnn_loss_and_grads(model: CnnModel, images, labels):
-    """Mean cross-entropy, accuracy, and the full flat gradient."""
-    labels = np.asarray(labels).reshape(-1)
-    x = np.asarray(images, dtype=np.float64)[..., None]
-    m = x.shape[0]
-    logits, (caches, flat, pooled_shape) = _forward(model, x)
-    probs = _softmax_rows(logits)
-    loss = _xent_rows(logits, labels)
-    acc = float(np.mean(np.argmax(probs, axis=1) == labels))
+def _score(logits: np.ndarray, labels) -> tuple[float, float]:
+    """Mean cross-entropy and accuracy; ties go to class 0."""
+    return _xent_rows(logits, labels), float(np.mean(np.argmax(logits, axis=1) == labels))
 
-    dlogits = probs.copy()
+
+def _backward(model: CnnModel, cache, labels) -> np.ndarray:
+    """The full flat gradient of the mean cross-entropy from a forward's cache."""
+    caches, flat, pooled_shape, logits = cache
+    m = len(labels)
+    dlogits = _softmax_rows(logits)
     dlogits[np.arange(m), labels] -= 1.0
     dlogits /= m
     d_dense_w = flat.T @ dlogits
@@ -270,31 +276,25 @@ def cnn_loss_and_grads(model: CnnModel, images, labels):
         dbiases.append(db)
     dkernels.reverse()
     dbiases.reverse()
+    return np.concatenate([a.reshape(-1) for a in [*dkernels, *dbiases, d_dense_w, d_dense_b]])
 
-    grad_flat = np.concatenate([a.reshape(-1) for a in
-                                [*dkernels, *dbiases, d_dense_w, d_dense_b]])
-    return loss, acc, grad_flat
+
+def cnn_loss_and_grads(model: CnnModel, images, labels):
+    """Mean cross-entropy, accuracy, and the full flat gradient."""
+    labels = np.asarray(labels).reshape(-1)
+    logits, cache = _forward(model, _encode(images))
+    return (*_score(logits, labels), _backward(model, cache, labels))
 
 
 def cnn_evaluate(model: CnnModel, images, labels) -> tuple[float, float]:
-    labels = np.asarray(labels).reshape(-1)
-    x = np.asarray(images, dtype=np.float64)[..., None]
-    logits, _ = _forward(model, x)
-    loss = _xent_rows(logits, labels)
-    acc = float(np.mean(np.argmax(logits, axis=1) == labels))
-    return loss, acc
+    return _score(_forward(model, _encode(images))[0], np.asarray(labels).reshape(-1))
 
 
 def train_cnn(model: CnnModel, train_set, test_set, cfg: TrainConfig,
               augment_cfg: AugmentConfig | None = None):
     """training.fit every kernel/bias/dense weight on the cross-entropy loss;
     returns (per-epoch metrics, trained model)."""
-
-    def scores(params, batches, labels):
-        stepped = model.with_params(params)
-        return [cnn_evaluate(stepped, x, y) for x, y in zip(batches, labels)]
-
     rows, params = fit(model.pack(), train_set, test_set, cfg, augment_cfg,
-                       encode=np.asarray, scores=scores,
-                       grad=lambda p, x, y: cnn_loss_and_grads(model.with_params(p), x, y)[2])
+                       encode=_encode, bind=model.with_params, forward=_forward,
+                       score=_score, backward=_backward)
     return rows, model.with_params(params)

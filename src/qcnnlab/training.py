@@ -8,17 +8,19 @@ batch into one small environment matrix per block and reads every
 d(loss)/d(angle) of that block off it with the closed-form block
 derivatives; a central finite-difference oracle checks it.  Batches are
 evolved as columns of one matrix, so an epoch is a few dozen small matmuls
-rather than a Python loop over samples.  An epoch augments (if enabled)
-and embeds its batch in one array pass, and builds the circuit once, every
-block with its derivatives from one closed-form table: the blocks for the
-parameters after a step serve both that step's metrics and the next step's
-gradient, which without augmentation also reuses the metrics' train-set
-forward.
+rather than a Python loop over samples.  Both models give :func:`fit` the
+same four functions (bind, forward, score, backward), and :func:`fit` owns
+the one forward cache for both: it binds each parameter vector once (for the
+QCNN, one circuit build, every block with its derivatives from one
+closed-form table), and without augmentation hands the metrics' train-set
+forward after a step to the next step's backward.  An epoch augments (if
+enabled) and embeds its batch in one array pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -130,84 +132,53 @@ def grad_fd(loss_fn, params, step: float = 1e-4) -> np.ndarray:
     return grads
 
 
-class _Circuit:
-    """One repetition's QCNN at its latest parameter vector.
+def _forward(arch: Architecture, ops, cols: np.ndarray):
+    """(p1 per column, cache): the cache holds the final states for :func:`_backward`."""
+    ket, p1s = run_columns(arch, ops, cols)
+    return p1s, [ket, p1s]
 
-    :func:`fit` scores the parameters after each step, and the next step's
-    gradient starts from those same parameters.  So the gradient-carrying
-    fused blocks are built once per parameter vector and serve both, and
-    the train-set forward of the scores pass is kept for the gradient: it
-    is the gradient's own forward whenever the batch is the clean train
-    set, i.e. without augmentation.  The blocks are keyed by the parameter
-    bytes and the kept forward by the batch object, and a new parameter
-    vector drops both, so a different vector or batch always recomputes.
+
+def _score(p1s, labels) -> tuple[float, float]:
+    return mse_loss(p1s, labels), accuracy(p1s, labels)
+
+
+def _backward(arch: Architecture, ops, cache: list, labels) -> np.ndarray:
+    """Exact MSE gradient via a reverse sweep with local environments.
+
+    Forward gives phi = U_L ... U_1 psi and p1 = <phi|P1|phi> per column.
+    The loss chain rule weights column s by c_s = 2 (p1_s - y_s) / m, so
+    the sweep starts from bra = P1 phi c.  Sweeping blocks j = L..1, with
+    bra = (U_L ... U_{j+1})^dag P1 phi c and ket the state entering block
+    j, both with the block's target bits gathered into the rows, the
+    block's environment E = ket @ bra^H contracts every other wire and
+    the batch into a k x k matrix, and dL/dtheta = 2 Re tr(dU_j/dtheta E)
+    for all of the block's parameters at once.  Shared parameters
+    accumulate over every block they drive.  The sweep empties ``cache``,
+    so that it frees the forward's states block by block, whoever else
+    still holds the list.
     """
-
-    def __init__(self, arch: Architecture):
-        self.arch = arch
-        self._key = None
-        self._ops = None
-        self._kept = None  # (train columns, final states, p1 per column)
-
-    def ops(self, params) -> list:
-        key = np.asarray(params, dtype=np.float64).tobytes()
-        if key != self._key:
-            self._key = self._ops = self._kept = None  # free the old blocks before the build
-            self._ops, self._key = circuit_ops(self.arch, params), key
-        return self._ops
-
-    def scores(self, params, batches, labels):
-        """(loss, accuracy) on the train and the test columns; keeps the train forward."""
-        ops = self.ops(params)
-        (train, test), (y_train, y_test) = batches, labels
-        self._kept = None
-        # the test set first, so that only the train states stay alive
-        _, p1_test = run_columns(self.arch, ops, test)
-        ket, p1_train = run_columns(self.arch, ops, train)
-        self._kept = (train, ket, p1_train)
-        return [(mse_loss(p1_train, y_train), accuracy(p1_train, y_train)),
-                (mse_loss(p1_test, y_test), accuracy(p1_test, y_test))]
-
-    def grad(self, params, cols: np.ndarray, labels) -> np.ndarray:
-        """Exact MSE gradient via a reverse sweep with local environments.
-
-        Forward gives phi = U_L ... U_1 psi and p1 = <phi|P1|phi> per column.
-        The loss chain rule weights column s by c_s = 2 (p1_s - y_s) / m, so
-        the sweep starts from bra = P1 phi c.  Sweeping blocks j = L..1, with
-        bra = (U_L ... U_{j+1})^dag P1 phi c and ket the state entering block
-        j, both with the block's target bits gathered into the rows, the
-        block's environment E = ket @ bra^H contracts every other wire and
-        the batch into a k x k matrix, and dL/dtheta = 2 Re tr(dU_j/dtheta E)
-        for all of the block's parameters at once.  Shared parameters
-        accumulate over every block they drive.
-        """
-        n = self.arch.n_qubits
-        labels = np.asarray(labels, dtype=np.float64).reshape(-1)
-        ops = self.ops(params)
-        # take the kept forward out, so that the sweep frees it block by block
-        kept, self._kept = self._kept, None
-        if kept is not None and kept[0] is cols:
-            _, ket, p1s = kept
-        else:
-            ket, p1s = run_columns(self.arch, ops, cols)
-        del kept
-        bra = ket * (2.0 * (p1s - labels) / labels.size)
-        bra[((np.arange(len(bra)) >> self.arch.readout_wire) & 1) == 0] = 0
-        grads = np.zeros(self.arch.param_count, dtype=np.float64)
-        for op in reversed(ops):
-            order, inverse = _row_order(op.targets, n)
-            inv = op.matrix.conj().T
-            ket = inv @ ket[order].reshape(len(inv), -1)
-            rows = bra[order].reshape(len(inv), -1)
-            del bra
-            bra = inv @ rows
-            env = ket @ np.conjugate(rows, out=rows).T
-            del rows
-            index, derivs = op.grads
-            grads[index] += 2.0 * np.real(derivs.reshape(len(index), -1) @ env.T.reshape(-1))
-            ket = ket.reshape(cols.shape)[inverse]
-            bra = bra.reshape(cols.shape)[inverse]
-        return grads
+    n = arch.n_qubits
+    labels = np.asarray(labels, dtype=np.float64).reshape(-1)
+    ket, p1s = cache
+    cache.clear()
+    shape = ket.shape
+    bra = ket * (2.0 * (p1s - labels) / labels.size)
+    bra[((np.arange(len(bra)) >> arch.readout_wire) & 1) == 0] = 0
+    grads = np.zeros(arch.param_count, dtype=np.float64)
+    for op in reversed(ops):
+        order, inverse = _row_order(op.targets, n)
+        inv = op.matrix.conj().T
+        ket = inv @ ket[order].reshape(len(inv), -1)
+        rows = bra[order].reshape(len(inv), -1)
+        del bra
+        bra = inv @ rows
+        env = ket @ np.conjugate(rows, out=rows).T
+        del rows
+        index, derivs = op.grads
+        grads[index] += 2.0 * np.real(derivs.reshape(len(index), -1) @ env.T.reshape(-1))
+        ket = ket.reshape(shape)[inverse]
+        bra = bra.reshape(shape)[inverse]
+    return grads
 
 
 def grad_exact(arch: Architecture, params, images, labels) -> np.ndarray:
@@ -217,7 +188,9 @@ def grad_exact(arch: Architecture, params, images, labels) -> np.ndarray:
         raise EmptyBatch("gradient over an empty batch")
     if len(images) != labels.size:
         raise LengthMismatch(f"{len(images)} images vs {labels.size} labels")
-    return _Circuit(arch).grad(params, embed_columns(images, arch.n_qubits), labels)
+    ops = circuit_ops(arch, params)
+    _, cache = _forward(arch, ops, embed_columns(images, arch.n_qubits))
+    return _backward(arch, ops, cache, labels)
 
 
 # ---------------------------------------------------------------------------
@@ -272,16 +245,21 @@ _HEAP_TRIM_LIFT = 1 << 20
 
 
 def fit(params, train_set, test_set, cfg: TrainConfig, augment_cfg: AugmentConfig | None,
-        *, encode, grad, scores):
+        *, encode, bind, forward, score, backward):
     """Full-batch Adam training; returns (per-epoch metrics, final params).
 
-    The model supplies ``encode(images)``, its input for a list of images,
-    ``grad(params, batch, labels)`` and ``scores(params, batches, labels)``,
-    one (loss, accuracy) per batch.  Augmentation, when enabled, redraws the
-    training images every epoch in one :func:`augment_batch` pass over a
-    stream seeded by [seed, 1]; gradients see the augmented batch, metrics
-    the clean sets after the step.  A step that leaves a non-finite
-    parameter or loss raises TrainingError.
+    The model supplies ``encode(images)``, its input for a list of images;
+    ``bind(params)``, called once per parameter vector; ``forward(bound,
+    batch) -> (outputs, cache)``; ``score(outputs, labels) -> (loss,
+    accuracy)``; and ``backward(bound, cache, labels) -> grads``.  After
+    each step the clean test set and then the clean train set are forwarded
+    and scored, so that only the train forward's cache stays alive, and it
+    is handed to the next step's backward: without augmentation it is that
+    step's own forward.  Augmentation, when enabled, redraws the training
+    images every epoch in one :func:`augment_batch` pass over a stream
+    seeded by [seed, 1]; the scores' cache is then dropped, and the
+    gradient forwards the augmented batch.  A step that leaves a
+    non-finite parameter or loss raises TrainingError.
     """
     np.empty(_HEAP_TRIM_LIFT)  # allocated and freed at once
     labels = (_check_binary(train_set.labels(), "train"), _check_binary(test_set.labels(), "test"))
@@ -290,15 +268,28 @@ def fit(params, train_set, test_set, cfg: TrainConfig, augment_cfg: AugmentConfi
     augmenting = augment_cfg is not None and augment_cfg.enabled
     aug_rng = np.random.default_rng([cfg.seed, 1]) if augmenting else None
 
+    bound = bind(params)
+    # (outputs, cache) of the forward the next backward starts from; popped
+    # straight into that call, so that no name here keeps the cache alive
+    kept = [] if augmenting else [forward(bound, clean[0])]
     rows: list[MetricsRow] = []
     moments = None
     for epoch in range(cfg.epochs):
-        batch = encode(augment_batch(train_images, augment_cfg, aug_rng)) if augmenting else clean[0]
         lr = lr_at(epoch, cfg)
         # a diverging step overflows; the finiteness check below reports it
         with np.errstate(over="ignore", invalid="ignore"):
-            params, moments = adam_step(params, grad(params, batch, labels[0]), moments, epoch + 1, lr)
-            (tr_loss, tr_acc), (te_loss, te_acc) = scores(params, clean, labels)
+            if augmenting:
+                kept.append(forward(bound, encode(augment_batch(train_images, augment_cfg, aug_rng))))
+            grads = backward(bound, kept.pop()[1], labels[0])
+            params, moments = adam_step(params, grads, moments, epoch + 1, lr)
+            del bound  # free the old parameters' model before the next bind
+            bound = bind(params)
+            test_out = forward(bound, clean[1])[0]
+            kept.append(forward(bound, clean[0]))
+            tr_loss, tr_acc = score(kept[-1][0], labels[0])
+            te_loss, te_acc = score(test_out, labels[1])
+        if augmenting:
+            kept.clear()
         if not (np.all(np.isfinite(params)) and np.isfinite(tr_loss) and np.isfinite(te_loss)):
             raise TrainingError(f"training diverged: non-finite parameters or loss after the step "
                                 f"at seed {cfg.seed}, epoch {epoch}, lr {lr:g}")
@@ -310,14 +301,17 @@ def train_qcnn(arch: Architecture, train_set, test_set, cfg: TrainConfig,
                augment_cfg: AugmentConfig | None = None):
     """:func:`fit` the circuit from :func:`init_params` on the MSE loss.
 
-    One :class:`_Circuit` per call shares each parameter vector's fused
-    blocks between the metrics after a step and the next step's gradient,
-    so an E-epoch run builds the circuit E + 1 times.
+    Each parameter vector is bound to its fused blocks with their
+    derivatives (:func:`circuit_ops`) once, and they serve both the metrics
+    after a step and the next step's gradient, so an E-epoch run builds the
+    circuit E + 1 times.  It runs 2E + 1 forwards without augmentation,
+    where each gradient reuses the metrics' train-set forward, and 3E with
+    it.
     """
-    circuit = _Circuit(arch)
     return fit(init_params(arch, cfg.seed), train_set, test_set, cfg, augment_cfg,
-               encode=lambda images: embed_columns(images, arch.n_qubits),
-               grad=circuit.grad, scores=circuit.scores)
+               encode=partial(embed_columns, n_qubits=arch.n_qubits),
+               bind=partial(circuit_ops, arch), forward=partial(_forward, arch),
+               score=_score, backward=partial(_backward, arch))
 
 
 # ---------------------------------------------------------------------------
@@ -340,13 +334,9 @@ def mean_metrics(runs) -> list[MetricsRow]:
     lengths = {len(r) for r in runs}
     if len(lengths) != 1:
         raise LengthMismatch(f"curves differ in length: {sorted(lengths)}")
-    out = []
-    for epoch_rows in zip(*runs):
-        out.append(MetricsRow(
-            epoch_rows[0].epoch,
-            float(np.mean([r.train_loss for r in epoch_rows])),
-            float(np.mean([r.train_acc for r in epoch_rows])),
-            float(np.mean([r.test_loss for r in epoch_rows])),
-            float(np.mean([r.test_acc for r in epoch_rows])),
-        ))
-    return out
+    # one (epochs * 4, R) reduction along its contiguous last axis sums each
+    # value's R runs in the same pairwise order as a 1-D np.mean of them
+    values = np.array([[(r.train_loss, r.train_acc, r.test_loss, r.test_acc) for r in run]
+                       for run in runs], dtype=np.float64)
+    means = np.ascontiguousarray(values.reshape(len(runs), -1).T).mean(axis=1).reshape(-1, 4)
+    return [MetricsRow(row.epoch, *m) for row, m in zip(runs[0], means.tolist())]

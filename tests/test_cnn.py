@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from qcnnlab.augment import AugmentConfig, augment_sample
 from qcnnlab.datasets import Dataset, ImageSample
-from qcnnlab.training import ShapeMismatch, TrainConfig, grad_fd
+from qcnnlab.training import MetricsRow, ShapeMismatch, TrainConfig, adam_step, grad_fd, lr_at
 from qcnnlab.cnn import (
     CnnModel,
     build_cnn,
@@ -268,6 +269,31 @@ def test_maxpool_backward_matches_fd():
     assert np.max(np.abs(fd - dx.reshape(-1))) < 1e-6
 
 
+def _ref_maxpool2x2_backward(x_shape, route, dout):
+    """Scatter through a (m, h2, w2, 4, c) window array with put_along_axis."""
+    m, h, w, c = x_shape
+    h2, w2 = h // 2, w // 2
+    dwin = np.zeros((m, h2, w2, 4, c))
+    np.put_along_axis(dwin, route[:, :, :, None, :], dout[:, :, :, None, :], axis=3)
+    dwin = dwin.reshape(m, h2, w2, 2, 2, c).transpose(0, 1, 3, 2, 4, 5)
+    dx = np.zeros(x_shape)
+    dx[:, : 2 * h2, : 2 * w2, :] = dwin.reshape(m, 2 * h2, 2 * w2, c)
+    return dx
+
+
+@pytest.mark.parametrize("shape", [(3, 8, 8, 4), (2, 7, 9, 3), (2, 16, 16, 8)])
+@pytest.mark.parametrize("ties", [False, True])
+def test_maxpool_backward_is_bitwise_the_scatter_reference(shape, ties):
+    rng = np.random.default_rng(sum(shape))
+    x = np.zeros(shape) if ties else rng.standard_normal(shape)
+    pooled, route = maxpool2x2(x)
+    dout = rng.standard_normal(pooled.shape)
+    dout[rng.random(pooled.shape) < 0.2] = -0.0  # signed zeros must survive the copy
+    dx = maxpool2x2_backward(shape, route, dout)
+    want = _ref_maxpool2x2_backward(shape, route, dout)
+    assert np.array_equal(dx, want) and dx.tobytes() == want.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # softmax head
 # ---------------------------------------------------------------------------
@@ -392,13 +418,13 @@ def test_full_model_gradient_matches_fd_two_block():
 # training loop
 # ---------------------------------------------------------------------------
 
-def _toy_sets(rng, n_train=8, n_test=4):
+def _toy_sets(rng, n_train=8, n_test=4, hw=(8, 8)):
     def sample(label):
-        img = rng.random((8, 8)) * 0.2
+        img = rng.random(hw) * 0.2
         if label == 0:
-            img[:4, :] += 0.7
+            img[: hw[0] // 2, :] += 0.7
         else:
-            img[4:, :] += 0.7
+            img[hw[0] // 2 :, :] += 0.7
         return ImageSample(np.clip(img, 0, 1), label)
 
     train = tuple(sample(i % 2) for i in range(n_train))
@@ -443,3 +469,33 @@ def test_evaluate_matches_training_metrics():
     loss, acc = cnn_evaluate(trained, train.images(), train.labels())
     assert loss == pytest.approx(rows[-1].train_loss, abs=1e-12)
     assert acc == pytest.approx(rows[-1].train_acc, abs=1e-12)
+
+
+def _reference_train_cnn(model, train, test, cfg, aug):
+    """The epoch loop spelled out from the public per-image and per-call pieces."""
+    params, moments, rows = model.pack(), None, []
+    rng = np.random.default_rng([cfg.seed, 1])
+    for epoch in range(cfg.epochs):
+        images = train.images()
+        if aug is not None:
+            images = [augment_sample(img, aug, rng) for img in images]
+        _, _, grads = cnn_loss_and_grads(model.with_params(params), images, train.labels())
+        params, moments = adam_step(params, grads, moments, epoch + 1, lr_at(epoch, cfg))
+        stepped = model.with_params(params)
+        metrics = []
+        for data in (train, test):
+            metrics += cnn_evaluate(stepped, data.images(), data.labels())
+        rows.append(MetricsRow(epoch, *metrics))
+    return rows, params
+
+
+@pytest.mark.parametrize("hw", [(8, 8), (16, 16)])
+@pytest.mark.parametrize("aug", [None, AugmentConfig(rotation=True, contrast=True)])
+def test_train_cnn_equals_the_reference_loop_exactly(hw, aug):
+    train, test = _toy_sets(np.random.default_rng(11), n_train=8, n_test=6, hw=hw)
+    model = build_cnn(hw, seed=12)
+    cfg = TrainConfig(epochs=5, seed=3)
+    rows, trained = train_cnn(model, train, test, cfg, augment_cfg=aug)
+    ref_rows, ref_params = _reference_train_cnn(model, train, test, cfg, aug)
+    assert rows == ref_rows
+    assert trained.pack().tobytes() == ref_params.tobytes()

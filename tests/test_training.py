@@ -3,11 +3,14 @@
 import numpy as np
 import pytest
 
-from qcnnlab import training
+import weakref
+
+from qcnnlab import cnn, training
 from qcnnlab.augment import AugmentConfig, augment_sample
 from qcnnlab.embedding import embed_columns
 from qcnnlab.datasets import Dataset, ImageSample
-from qcnnlab.qcnn import build_architecture, forward
+from qcnnlab.cnn import build_cnn, cnn_loss_and_grads, train_cnn
+from qcnnlab.qcnn import build_architecture, circuit_ops, forward
 from qcnnlab.training import (
     EmptyBatch,
     LengthMismatch,
@@ -322,15 +325,17 @@ def test_evaluate_returns_loss_and_accuracy():
 def test_divergent_step_raises_training_error():
     train, test = _toy_sets(np.random.default_rng(15))
     cfg = TrainConfig(epochs=3, seed=2)
-    finite_scores = lambda p, xs, ys: [(0.25, 0.5)] * len(xs)
+    # a stand-in model whose outputs are its input batch
+    model = dict(encode=list, bind=lambda p: p, forward=lambda p, x: (x, None))
+    finite_score = lambda out, y: (0.25, 0.5)
     with pytest.raises(TrainingError, match="seed 2, epoch 0, lr 0.1"):
-        fit(np.zeros(3), train, test, cfg, None, encode=list,
-            grad=lambda p, x, y: np.full_like(p, np.nan), scores=finite_scores)
+        fit(np.zeros(3), train, test, cfg, None, **model, score=finite_score,
+            backward=lambda p, cache, y: np.full_like(p, np.nan))
     with pytest.raises(TrainingError, match="seed 2, epoch 0, lr 0.1"):
-        fit(np.zeros(3), train, test, cfg, None, encode=list, grad=lambda p, x, y: p + 1,
-            scores=lambda p, xs, ys: [(0.25, 0.5), (np.inf, 0.5)])
-    rows, _ = fit(np.zeros(3), train, test, cfg, None, encode=list,
-                  grad=lambda p, x, y: p + 1, scores=finite_scores)
+        fit(np.zeros(3), train, test, cfg, None, **model, backward=lambda p, cache, y: p + 1,
+            score=lambda out, y: (np.inf if len(out) == len(test.samples) else 0.25, 0.5))
+    rows, _ = fit(np.zeros(3), train, test, cfg, None, **model,
+                  backward=lambda p, cache, y: p + 1, score=finite_score)
     assert len(rows) == 3
 
 
@@ -338,16 +343,22 @@ def test_divergent_step_raises_training_error():
 # one circuit build per parameter vector
 # ---------------------------------------------------------------------------
 
-def _count_calls(monkeypatch, name):
+def _record_calls(monkeypatch, module, name, keep):
+    """Patch ``module.name`` to append keep(args, result) per call."""
     calls = []
-    real = getattr(training, name)
+    real = getattr(module, name)
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
+    def recorded(*args):
+        out = real(*args)
+        calls.append(keep(args, out))
+        return out
 
-    monkeypatch.setattr(training, name, counted)
+    monkeypatch.setattr(module, name, recorded)
     return calls
+
+
+def _count_calls(monkeypatch, name):
+    return _record_calls(monkeypatch, training, name, lambda args, out: args)
 
 
 @pytest.mark.parametrize("aug", [None, AugmentConfig(rotation=True, contrast=True)])
@@ -389,37 +400,54 @@ def test_train_qcnn_equals_the_reference_loop_exactly(aug):
     assert params.tobytes() == ref_params.tobytes()
 
 
-def test_shared_circuit_never_returns_a_stale_forward(monkeypatch):
-    rng = np.random.default_rng(18)
-    train, test = _toy_sets(rng)
+@pytest.mark.parametrize("model", ["qcnn", "cnn"])
+@pytest.mark.parametrize("aug", [None, AugmentConfig(rotation=True, contrast=True)])
+def test_fit_applies_the_gradient_at_each_epochs_params_and_batch(monkeypatch, model, aug):
+    """Every step's gradient is the one computed afresh from that step's
+    parameters and batch, and E epochs run 2E + 1 forwards without
+    augmentation (each gradient reuses the metrics' train forward) and 3E
+    with it."""
+    train, test = _toy_sets(np.random.default_rng(18))
+    epochs, labels = 4, train.labels()
+    steps = _record_calls(monkeypatch, training, "adam_step", lambda args, out: args[:2])
+    batches = _record_calls(monkeypatch, training, "augment_batch", lambda args, out: out)
+    if model == "qcnn":
+        arch = build_architecture(6, 1)
+        forwards = _record_calls(monkeypatch, training, "_forward", lambda args, out: None)
+        train_qcnn(arch, train, test, TrainConfig(epochs=epochs, seed=1), augment_cfg=aug)
+        fresh = lambda params, images: grad_exact(arch, params, images, labels)
+    else:
+        net = build_cnn((8, 8), seed=1)
+        forwards = _record_calls(monkeypatch, cnn, "_forward", lambda args, out: None)
+        train_cnn(net, train, test, TrainConfig(epochs=epochs, seed=1), augment_cfg=aug)
+        fresh = lambda params, images: cnn_loss_and_grads(net.with_params(params), images, labels)[2]
+    assert len(forwards) == (3 * epochs if aug else 2 * epochs + 1)
+    assert len(steps) == epochs and len(batches) == (epochs if aug else 0)
+    for epoch, (params, grads) in enumerate(steps):
+        images = batches[epoch] if aug else train.images()
+        assert np.array_equal(grads, fresh(params, images))
+
+
+@pytest.mark.parametrize("aug", [None, AugmentConfig(rotation=True)])
+def test_the_sweep_frees_the_forward_states_block_by_block(monkeypatch, aug):
+    """No forward's states are alive while the next forward runs, and the sweep
+    drops the forward it starts from after its first block."""
+    train, test = _toy_sets(np.random.default_rng(19))
     arch = build_architecture(6, 1)
-    cols = (embed_columns(train.images(), 6), embed_columns(test.images(), 6))
-    labels = (train.labels(), test.labels())
-    p_a, p_b = init_params(arch, 0), init_params(arch, 1)
-    forwards = _count_calls(monkeypatch, "run_columns")
-    circuit = training._Circuit(arch)
+    states = []
+    alive = lambda *_: sum(ref() is not None for ref in states)
 
-    circuit.scores(p_a, cols, labels)
-    assert len(forwards) == 2
-    assert np.array_equal(circuit.grad(p_a, cols[0], labels[0]),
-                          grad_exact(arch, p_a, train.images(), labels[0]))
-    assert len(forwards) == 2 + 1  # reused the scores' train forward; grad_exact ran its own
+    def at_forward_end(args, out):
+        count = alive()
+        states.append(weakref.ref(out[0]))
+        return count
 
-    circuit.scores(p_a, cols, labels)
-    scores_b = circuit.scores(p_b, cols, labels)
-    for (loss, acc), data in zip(scores_b, (train, test)):
-        p1s = batch_p1s(arch, p_b, data.images())
-        assert (loss, acc) == (mse_loss(p1s, data.labels()), accuracy(p1s, data.labels()))
-    circuit.scores(p_a, cols, labels)
-    assert np.array_equal(circuit.grad(p_b, cols[0], labels[0]),
-                          grad_exact(arch, p_b, train.images(), labels[0]))
-
-    circuit.scores(p_a, cols, labels)
-    assert np.array_equal(circuit.grad(p_a, cols[1], labels[1]),
-                          grad_exact(arch, p_a, test.images(), labels[1]))
-    calls = len(forwards)
-    circuit.grad(p_a, cols[0], labels[0])
-    assert len(forwards) == calls + 1  # a forward is handed over once, never twice
+    at_forward = _record_calls(monkeypatch, training, "run_columns", at_forward_end)
+    at_block = _record_calls(monkeypatch, training, "_row_order", alive)
+    train_qcnn(arch, train, test, TrainConfig(epochs=3, seed=1), augment_cfg=aug)
+    blocks = len(circuit_ops(arch, init_params(arch, 1)))
+    assert at_forward == [0] * len(at_forward)
+    assert at_block == ([1] + [0] * (blocks - 1)) * 3
 
 
 # ---------------------------------------------------------------------------
@@ -447,6 +475,17 @@ def test_mean_metrics_averages_elementwise():
 def test_mean_metrics_single_run_is_identity():
     a = [MetricsRow(0, 0.2, 0.5, 0.3, 0.5), MetricsRow(1, 0.1, 0.9, 0.2, 0.8)]
     assert mean_metrics([a]) == a
+
+
+@pytest.mark.parametrize("reps", [1, 2, 7, 8, 9, 20])
+def test_mean_metrics_is_bitwise_the_per_epoch_mean(reps):
+    rng = np.random.default_rng(reps)
+    runs = [[MetricsRow(e, *(rng.random(4) * 10.0 ** rng.integers(-6, 6, 4)).tolist())
+             for e in range(5)] for _ in range(reps)]
+    fields = ("train_loss", "train_acc", "test_loss", "test_acc")
+    want = [MetricsRow(rows[0].epoch, *(float(np.mean([getattr(r, f) for r in rows])) for f in fields))
+            for rows in zip(*runs)]
+    assert mean_metrics(runs) == want
 
 
 def test_mean_metrics_rejects_ragged_runs():
