@@ -21,7 +21,6 @@ from .cnn import build_cnn, cnn_loss_and_grads
 from .datasets import (
     Dataset,
     DatasetError,
-    ImageSample,
     load_digits_csv,
     load_pgm,
     write_digits_csv,
@@ -31,6 +30,8 @@ from .embedding import EmbeddingError
 from .harness import (
     ConfigError,
     ExperimentConfig,
+    _check_out_dir,
+    _write_atomically,
     compare_da,
     load_pool,
     parse_config_file,
@@ -101,29 +102,31 @@ def _cmd_compare_da(args) -> int:
 
 
 def _cmd_augment_preview(args) -> int:
+    _check_out_dir(args.out)
     cfg = ExperimentConfig(dataset=args.dataset, data_path=args.data_path,
                            resize=int(args.resize))
     pool = load_pool(cfg)
     if not 0 <= args.index < len(pool):
         raise DatasetError(f"index {args.index} outside dataset of {len(pool)} samples")
-    sample = pool.samples[args.index]
+    image, label = pool.images[args.index], pool.labels[args.index]
     try:
         aug_cfg = preset(args.preset if args.preset else cfg.dataset)
     except AugmentError as exc:
         raise UsageError(str(exc)) from exc
 
-    os.makedirs(args.out, exist_ok=True)
-    write_pgm(os.path.join(args.out, "original.pgm"), sample.pixels)
     rng = np.random.default_rng(args.seed)
-    variants = []
-    for k in range(args.count):
-        img = augment_sample(sample.pixels, aug_cfg, rng)
-        write_pgm(os.path.join(args.out, f"aug{k}.pgm"), img)
-        variants.append(img)
-    if sample.pixels.shape == (8, 8):
-        rows = Dataset(tuple(ImageSample(img, sample.label)
-                             for img in [sample.pixels] + variants), pool.class_names)
-        write_digits_csv(os.path.join(args.out, "preview.csv"), rows)
+    variants = [augment_sample(image, aug_cfg, rng) for _ in range(args.count)]
+
+    def write(tmp):
+        write_pgm(os.path.join(tmp, "original.pgm"), image)
+        for k, img in enumerate(variants):
+            write_pgm(os.path.join(tmp, f"aug{k}.pgm"), img)
+        if image.shape == (8, 8):
+            rows = Dataset(np.stack([image] + variants), np.full(1 + len(variants), label),
+                           pool.class_names)
+            write_digits_csv(os.path.join(tmp, "preview.csv"), rows)
+
+    _write_atomically(args.out, write)
     print(f"wrote original + {args.count} variants to {args.out}")
     return 0
 
@@ -241,11 +244,11 @@ def _check_round_trips():
         write_pgm(path, img)
         assert np.array_equal(load_pgm(path), img)
         quantized = np.rint(rng.random((8, 8)) * 16) / 16.0
-        ds = Dataset((ImageSample(quantized, 3),), tuple(str(i) for i in range(10)))
+        ds = Dataset(quantized[None], np.array([3]), tuple(str(i) for i in range(10)))
         csv_path = os.path.join(d, "x.csv")
         write_digits_csv(csv_path, ds)
         again = load_digits_csv(csv_path)
-        assert np.array_equal(again.samples[0].pixels, quantized)
+        assert np.array_equal(again.images, ds.images)
 
 
 _SELFTEST_CHECKS = (

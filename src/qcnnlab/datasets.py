@@ -3,8 +3,11 @@
 Three sources are supported: 8x8 hand-written digits re-hosted as a plain
 CSV (one row per image: label then 64 integers 0..16), Fashion-MNIST in its
 native big-endian IDX container, and grayscale photos as binary PGM ("P5")
-files whose class is taken from the filename prefix.  All loaders produce
-pixels in [0, 1] and refuse malformed records rather than skipping them.
+files whose class is taken from the filename prefix.  Every loader returns
+one :class:`Dataset`: all images as one (N, H, W) float64 array with pixels
+in [0, 1], all labels as one (N,) int64 array, so every image of a dataset
+has the same size.  Loaders refuse malformed records rather than skipping
+them.
 """
 
 from __future__ import annotations
@@ -51,27 +54,27 @@ class InsufficientSamples(DatasetError):
     pass
 
 
-@dataclass(frozen=True)
-class ImageSample:
-    """One grayscale image (H x W floats in [0,1]) with an integer class id."""
-
-    pixels: np.ndarray
-    label: int
+class MixedImageSizes(DatasetError):
+    pass
 
 
 @dataclass(frozen=True)
 class Dataset:
-    samples: tuple[ImageSample, ...]
+    """Grayscale images as one (N, H, W) float64 array in [0, 1]; labels[i]
+    is the integer class id of images[i]."""
+
+    images: np.ndarray
+    labels: np.ndarray
     class_names: tuple[str, ...]
 
+    def __post_init__(self):
+        if self.images.ndim != 3:
+            raise DatasetError(f"images must be an (N, H, W) array, got shape {self.images.shape}")
+        if len(self.images) != len(self.labels):
+            raise DatasetError(f"{len(self.images)} images vs {len(self.labels)} labels")
+
     def __len__(self) -> int:
-        return len(self.samples)
-
-    def images(self) -> list[np.ndarray]:
-        return [s.pixels for s in self.samples]
-
-    def labels(self) -> np.ndarray:
-        return np.array([s.label for s in self.samples], dtype=np.int64)
+        return len(self.labels)
 
 
 # ---------------------------------------------------------------------------
@@ -84,7 +87,7 @@ DIGITS_MAX = 16
 
 def load_digits_csv(path: str | os.PathLike) -> Dataset:
     """Read 8x8 digit images: rows of `label,p0,...,p63` with pixels 0..16."""
-    samples = []
+    raw = bytearray()  # every checked field fits in a byte
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -105,17 +108,18 @@ def load_digits_csv(path: str | os.PathLike) -> Dataset:
             if bad:
                 raise MalformedRow(
                     f"{path}:{lineno}: pixel value {bad[0]} outside 0..{DIGITS_MAX}")
-            img = np.array(pixels, dtype=np.float64).reshape(8, 8) / DIGITS_MAX
-            samples.append(ImageSample(img, label))
-    return Dataset(tuple(samples), tuple(str(d) for d in range(10)))
+            raw.extend(values)
+    rows = np.frombuffer(raw, dtype=np.uint8).reshape(-1, DIGITS_FIELDS)
+    return Dataset((rows[:, 1:] / DIGITS_MAX).reshape(-1, 8, 8), rows[:, 0].astype(np.int64),
+                   tuple(str(d) for d in range(10)))
 
 
 def write_digits_csv(path: str | os.PathLike, ds: Dataset) -> None:
     """Inverse of load_digits_csv: quantizes pixels back to integers 0..16."""
     with open(path, "w", encoding="utf-8") as fh:
-        for s in ds.samples:
-            ints = np.rint(np.asarray(s.pixels) * DIGITS_MAX).astype(int).reshape(-1)
-            fh.write(",".join([str(int(s.label))] + [str(v) for v in ints]) + "\n")
+        for img, label in zip(ds.images, ds.labels):
+            ints = np.rint(img * DIGITS_MAX).astype(int).reshape(-1)
+            fh.write(",".join([str(int(label))] + [str(v) for v in ints]) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -154,10 +158,9 @@ def load_idx(images_path: str | os.PathLike, labels_path: str | os.PathLike) -> 
     if int(count) != int(n_labels):
         raise CountMismatch(f"{count} images vs {n_labels} labels")
 
-    samples = tuple(ImageSample(img.astype(np.float64) / 255.0, int(lab))
-                    for img, lab in zip(images, labels))
     n_classes = int(labels.max()) + 1 if len(labels) else 0
-    return Dataset(samples, tuple(str(c) for c in range(n_classes)))
+    return Dataset(images.astype(np.float64) / 255.0, labels.astype(np.int64),
+                   tuple(str(c) for c in range(n_classes)))
 
 
 # ---------------------------------------------------------------------------
@@ -219,34 +222,45 @@ def write_pgm(path: str | os.PathLike, img: np.ndarray) -> None:
 
 
 def load_pgm_dir(directory: str | os.PathLike, class_map: dict[str, int]) -> Dataset:
-    """Load every .pgm in a directory; class comes from the filename prefix."""
+    """Load every .pgm in a directory; class comes from the filename prefix.
+
+    Every file must have the first file's size."""
     names = sorted(f for f in os.listdir(directory) if f.lower().endswith(".pgm"))
     if not names:
         raise DatasetError(f"{directory}: no .pgm files found")
-    samples = []
+    images, labels = [], []
     for name in names:
         prefixes = [p for p in class_map if name.startswith(p)]
         if not prefixes:
             raise UnknownClassPrefix(
                 f"{name}: no prefix from {sorted(class_map)} matches")
-        label = class_map[max(prefixes, key=len)]
-        samples.append(ImageSample(load_pgm(os.path.join(directory, name)), label))
+        img = load_pgm(os.path.join(directory, name))
+        if images and img.shape != images[0].shape:
+            raise MixedImageSizes(
+                f"{name} is {img.shape[0]}x{img.shape[1]} but {names[0]} is "
+                f"{images[0].shape[0]}x{images[0].shape[1]}; all images in {directory} "
+                "must have one size")
+        images.append(img)
+        labels.append(class_map[max(prefixes, key=len)])
     names_by_id = sorted(class_map, key=class_map.get)
-    return Dataset(tuple(samples), tuple(names_by_id))
+    return Dataset(np.stack(images), np.array(labels, dtype=np.int64), tuple(names_by_id))
 
 
 # ---------------------------------------------------------------------------
 # resizing and subsetting
 # ---------------------------------------------------------------------------
 
-def resize_area(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Downscale by integer block averaging (each output pixel = block mean)."""
-    img = np.asarray(img, dtype=np.float64)
-    h, w = img.shape
+def resize_area(images: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
+    """Downscale by integer block averaging (each output pixel = block mean).
+
+    ``images`` is one (h, w) image or a (..., h, w) stack of them.
+    """
+    images = np.asarray(images, dtype=np.float64)
+    h, w = images.shape[-2:]
     if out_h <= 0 or out_w <= 0 or h % out_h or w % out_w:
         raise NonIntegerFactor(f"cannot block-average {h}x{w} to {out_h}x{out_w}")
     fh, fw = h // out_h, w // out_w
-    return img.reshape(out_h, fh, out_w, fw).mean(axis=(1, 3))
+    return images.reshape(images.shape[:-2] + (out_h, fh, out_w, fw)).mean(axis=(-3, -1))
 
 
 def binary_subset(ds: Dataset, class_a: int, class_b: int, n_per_class: int,
@@ -262,21 +276,17 @@ def binary_subset(ds: Dataset, class_a: int, class_b: int, n_per_class: int,
         raise DatasetError("class_a and class_b must differ")
     rng = np.random.default_rng(seed)
     n_half = n_test // 2
-    picked: dict[int, list[ImageSample]] = {}
+    picked = []
     for cls in (class_a, class_b):
-        idx = [i for i, s in enumerate(ds.samples) if s.label == cls]
+        idx = np.flatnonzero(ds.labels == cls)
         need = n_per_class + n_half
         if len(idx) < need:
             raise InsufficientSamples(
                 f"class {cls}: need {need} samples, dataset has {len(idx)}")
-        order = rng.permutation(len(idx))
-        picked[cls] = [ds.samples[idx[j]] for j in order[:need]]
-
-    def relabel(sample: ImageSample) -> ImageSample:
-        return ImageSample(sample.pixels, 0 if sample.label == class_a else 1)
-
-    train = [relabel(s) for cls in (class_a, class_b) for s in picked[cls][:n_per_class]]
-    test = [relabel(s) for cls in (class_a, class_b) for s in picked[cls][n_per_class:]]
+        picked.append(idx[rng.permutation(len(idx))[:need]])
+    train = np.concatenate([p[:n_per_class] for p in picked])
+    test = np.concatenate([p[n_per_class:] for p in picked])
     names = (ds.class_names[class_a] if class_a < len(ds.class_names) else str(class_a),
              ds.class_names[class_b] if class_b < len(ds.class_names) else str(class_b))
-    return Dataset(tuple(train), names), Dataset(tuple(test), names)
+    return (Dataset(ds.images[train], np.repeat([0, 1], n_per_class), names),
+            Dataset(ds.images[test], np.repeat([0, 1], n_half), names))

@@ -4,7 +4,9 @@ Amplitude embedding writes N normalized pixel values into the first N
 amplitudes of a 2**n register (zero-padded past the pixels), which is the
 encoding every experiment in this lab uses.  :func:`embed_columns`
 normalizes a whole stack of images in one pass; :func:`amplitude_embed` is
-its one-image call.
+its one-image call.  Pixels are real, so embedded states are real float64
+arrays; the first gate applied to them makes them complex, and that
+promotion is exact.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ def embed_columns(images, n_qubits: int) -> np.ndarray:
 
     Column s holds image s flattened row-major and divided by its L2 norm,
     zero past the pixels.  ``images`` is an array whose first axis runs over
-    the images, or a list of equal-size images.
+    the images, or a list of equal-size images.  The states are float64.
     """
     values = np.asarray(images, dtype=np.float64)
     values = values.reshape(len(values), -1)
@@ -40,7 +42,7 @@ def embed_columns(images, n_qubits: int) -> np.ndarray:
     norms = np.array([np.linalg.norm(row) for row in values])
     if not norms.all():
         raise AllZeroImage("cannot amplitude-embed an all-zero image")
-    states = np.zeros((dim, len(values)), dtype=np.complex128)
+    states = np.zeros((dim, len(values)))
     states[: values.shape[1]] = (values / norms[:, None]).T
     return states
 

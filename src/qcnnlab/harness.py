@@ -22,7 +22,7 @@ import numpy as np
 
 from .augment import AugmentError, preset
 from .cnn import build_cnn, train_cnn
-from .datasets import Dataset, ImageSample, binary_subset, load_digits_csv, load_idx, load_pgm_dir, resize_area
+from .datasets import Dataset, binary_subset, load_digits_csv, load_idx, load_pgm_dir, resize_area
 from .qcnn import QcnnError, build_architecture
 from .training import MetricsRow, TrainConfig, format_metrics, mean_metrics, train_qcnn
 
@@ -92,25 +92,10 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
         raise ConfigError(f"expected comma-separated integers, got {text!r}") from exc
 
 
-_COERCERS = {
-    "model": str,
-    "dataset": str,
-    "data_path": str,
-    "class_a": int,
-    "class_b": _parse_int_list,
-    "n_per_class": _parse_int_list,
-    "n_test": int,
-    "epochs": int,
-    "repetitions": int,
-    "base_seed": int,
-    "augment": str,
-    "n_qubits": int,
-    "depth": int,
-    "resize": int,
-    "lr0": float,
-    "lr_decay": float,
-    "threads": int,
-}
+# each field's annotation (a string, under postponed evaluation) picks its parser
+_COERCERS = {f.name: {"str": str, "int": int, "float": float,
+                      "tuple[int, ...]": _parse_int_list}[f.type]
+             for f in fields(ExperimentConfig)}
 
 # epochs defaults differ per model; filled when no explicit value arrives
 _AUTO_EPOCHS = {"qcnn": 100, "cnn": 200}
@@ -201,20 +186,17 @@ def load_pool(cfg: ExperimentConfig) -> Dataset:
     else:
         ds = load_pgm_dir(cfg.data_path, {"cat": 0, "dog": 1})
     if cfg.resize:
-        for s in ds.samples:
-            h, w = s.pixels.shape
-            if h % cfg.resize or w % cfg.resize:
-                raise ConfigError(f"resize {cfg.resize} does not divide the {h}x{w} image size, "
-                                  f"so block averaging cannot reach {cfg.resize}x{cfg.resize}")
-        ds = Dataset(tuple(ImageSample(resize_area(s.pixels, cfg.resize, cfg.resize),
-                                       s.label) for s in ds.samples),
-                     ds.class_names)
+        h, w = ds.images.shape[1:]
+        if h % cfg.resize or w % cfg.resize:
+            raise ConfigError(f"resize {cfg.resize} does not divide the {h}x{w} image size, "
+                              f"so block averaging cannot reach {cfg.resize}x{cfg.resize}")
+        ds = Dataset(resize_area(ds.images, cfg.resize, cfg.resize), ds.labels, ds.class_names)
     return ds
 
 
 def _check_register(cfg: ExperimentConfig, pool: Dataset) -> None:
     """A QCNN's 2**n_qubits amplitudes must hold every (resized) image."""
-    pixels = max((s.pixels.size for s in pool.samples), default=0)
+    pixels = pool.images[0].size if len(pool) else 0
     if cfg.model == "qcnn" and pixels > 2**cfg.n_qubits:
         raise ConfigError(f"{pixels} pixels per image need more than n_qubits = {cfg.n_qubits} "
                           f"({2**cfg.n_qubits} amplitudes); raise n_qubits or set resize")
@@ -230,8 +212,7 @@ def _train_one_rep(cfg: ExperimentConfig, pool: Dataset, class_b: int,
         arch = build_architecture(cfg.n_qubits, cfg.depth)
         rows, params = train_qcnn(arch, train, test, tcfg, augment_cfg=aug)
         return tuple(rows), np.asarray(params)
-    hw = train.samples[0].pixels.shape
-    model = build_cnn(hw, seed)
+    model = build_cnn(train.images.shape[1:], seed)
     rows, trained = train_cnn(model, train, test, tcfg, augment_cfg=aug)
     return tuple(rows), trained.pack()
 

@@ -1,7 +1,9 @@
 """Exact state-vector simulation of few-qubit registers.
 
 States are plain numpy arrays of 2**n complex amplitudes; a batch of states
-is a (2**n, m) matrix with one state per column.  Qubit 0 is the
+is a (2**n, m) matrix with one state per column.  A state may also arrive
+real (an amplitude embedding of pixels); the first gate's matmul promotes it
+to complex exactly, so every gate's output is complex.  Qubit 0 is the
 least-significant bit of the basis-state index, so basis state |q1 q0> = |10>
 sits at index 2.  Gates are dense 2x2 or 4x4 complex matrices; for a
 multi-qubit gate the first entry of ``targets`` addresses the most

@@ -248,7 +248,7 @@ def fit(params, train_set, test_set, cfg: TrainConfig, augment_cfg: AugmentConfi
         *, encode, bind, forward, score, backward):
     """Full-batch Adam training; returns (per-epoch metrics, final params).
 
-    The model supplies ``encode(images)``, its input for a list of images;
+    The model supplies ``encode(images)``, its input for an (m, h, w) image stack;
     ``bind(params)``, called once per parameter vector; ``forward(bound,
     batch) -> (outputs, cache)``; ``score(outputs, labels) -> (loss,
     accuracy)``; and ``backward(bound, cache, labels) -> grads``.  After
@@ -262,9 +262,8 @@ def fit(params, train_set, test_set, cfg: TrainConfig, augment_cfg: AugmentConfi
     non-finite parameter or loss raises TrainingError.
     """
     np.empty(_HEAP_TRIM_LIFT)  # allocated and freed at once
-    labels = (_check_binary(train_set.labels(), "train"), _check_binary(test_set.labels(), "test"))
-    train_images = train_set.images()
-    clean = (encode(train_images), encode(test_set.images()))
+    labels = (_check_binary(train_set.labels, "train"), _check_binary(test_set.labels, "test"))
+    clean = (encode(train_set.images), encode(test_set.images))
     augmenting = augment_cfg is not None and augment_cfg.enabled
     aug_rng = np.random.default_rng([cfg.seed, 1]) if augmenting else None
 
@@ -279,7 +278,7 @@ def fit(params, train_set, test_set, cfg: TrainConfig, augment_cfg: AugmentConfi
         # a diverging step overflows; the finiteness check below reports it
         with np.errstate(over="ignore", invalid="ignore"):
             if augmenting:
-                kept.append(forward(bound, encode(augment_batch(train_images, augment_cfg, aug_rng))))
+                kept.append(forward(bound, encode(augment_batch(train_set.images, augment_cfg, aug_rng))))
             grads = backward(bound, kept.pop()[1], labels[0])
             params, moments = adam_step(params, grads, moments, epoch + 1, lr)
             del bound  # free the old parameters' model before the next bind

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qcnnlab.augment import AugmentConfig, augment_sample
-from qcnnlab.datasets import Dataset, ImageSample
+from qcnnlab.datasets import Dataset
 from qcnnlab.training import MetricsRow, ShapeMismatch, TrainConfig, adam_step, grad_fd, lr_at
 from qcnnlab.cnn import (
     CnnModel,
@@ -425,11 +425,13 @@ def _toy_sets(rng, n_train=8, n_test=4, hw=(8, 8)):
             img[: hw[0] // 2, :] += 0.7
         else:
             img[hw[0] // 2 :, :] += 0.7
-        return ImageSample(np.clip(img, 0, 1), label)
+        return np.clip(img, 0, 1)
 
-    train = tuple(sample(i % 2) for i in range(n_train))
-    test = tuple(sample(i % 2) for i in range(n_test))
-    return Dataset(train, ("a", "b")), Dataset(test, ("a", "b"))
+    def dataset(n):
+        labels = np.arange(n) % 2
+        return Dataset(np.stack([sample(label) for label in labels]), labels, ("a", "b"))
+
+    return dataset(n_train), dataset(n_test)
 
 
 def test_zero_lr_keeps_weights():
@@ -466,7 +468,7 @@ def test_evaluate_matches_training_metrics():
     train, test = _toy_sets(rng)
     model = build_cnn((8, 8), seed=10)
     rows, trained = train_cnn(model, train, test, TrainConfig(epochs=2, seed=10))
-    loss, acc = cnn_evaluate(trained, train.images(), train.labels())
+    loss, acc = cnn_evaluate(trained, train.images, train.labels)
     assert loss == pytest.approx(rows[-1].train_loss, abs=1e-12)
     assert acc == pytest.approx(rows[-1].train_acc, abs=1e-12)
 
@@ -476,15 +478,15 @@ def _reference_train_cnn(model, train, test, cfg, aug):
     params, moments, rows = model.pack(), None, []
     rng = np.random.default_rng([cfg.seed, 1])
     for epoch in range(cfg.epochs):
-        images = train.images()
+        images = train.images
         if aug is not None:
             images = [augment_sample(img, aug, rng) for img in images]
-        _, _, grads = cnn_loss_and_grads(model.with_params(params), images, train.labels())
+        _, _, grads = cnn_loss_and_grads(model.with_params(params), images, train.labels)
         params, moments = adam_step(params, grads, moments, epoch + 1, lr_at(epoch, cfg))
         stepped = model.with_params(params)
         metrics = []
         for data in (train, test):
-            metrics += cnn_evaluate(stepped, data.images(), data.labels())
+            metrics += cnn_evaluate(stepped, data.images, data.labels)
         rows.append(MetricsRow(epoch, *metrics))
     return rows, params
 

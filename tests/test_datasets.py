@@ -11,7 +11,6 @@ from qcnnlab.datasets import (
     CountMismatch,
     Dataset,
     DatasetError,
-    ImageSample,
     InsufficientSamples,
     MalformedRow,
     NonIntegerFactor,
@@ -32,6 +31,17 @@ DIGITS_CSV = os.path.join(os.path.dirname(__file__), "..", "data", "digits.csv")
 
 
 # ---------------------------------------------------------------------------
+# the in-memory format
+# ---------------------------------------------------------------------------
+
+def test_dataset_rejects_unstacked_images_and_mismatched_lengths():
+    with pytest.raises(DatasetError, match=r"\(N, H, W\) array, got shape \(3, 64\)"):
+        Dataset(np.zeros((3, 64)), np.zeros(3, dtype=np.int64), ("a", "b"))
+    with pytest.raises(DatasetError, match="3 images vs 2 labels"):
+        Dataset(np.zeros((3, 8, 8)), np.zeros(2, dtype=np.int64), ("a", "b"))
+
+
+# ---------------------------------------------------------------------------
 # digits CSV
 # ---------------------------------------------------------------------------
 
@@ -45,10 +55,10 @@ def test_digits_row_parses_and_normalizes(tmp_path):
     _write_rows(path, ["3," + ",".join(["16"] + ["0"] * 63)])
     ds = load_digits_csv(path)
     assert len(ds) == 1
-    assert ds.samples[0].label == 3
-    assert ds.samples[0].pixels.shape == (8, 8)
-    assert ds.samples[0].pixels[0, 0] == 1.0
-    assert ds.samples[0].pixels[0, 1] == 0.0
+    assert ds.labels[0] == 3
+    assert ds.images[0].shape == (8, 8)
+    assert ds.images[0][0, 0] == 1.0
+    assert ds.images[0][0, 1] == 0.0
 
 
 def test_digits_all_zero_row_loads():
@@ -59,7 +69,7 @@ def test_digits_all_zero_row_loads():
         path = os.path.join(d, "z.csv")
         _write_rows(path, ds_rows)
         ds = load_digits_csv(path)
-    assert np.all(ds.samples[0].pixels == 0.0)
+    assert np.all(ds.images[0] == 0.0)
 
 
 def test_digits_rejects_wrong_field_count(tmp_path):
@@ -95,23 +105,24 @@ def test_digits_rejects_non_integer(tmp_path):
 def test_bundled_digits_file_loads():
     ds = load_digits_csv(DIGITS_CSV)
     assert len(ds) == 1797
-    labels = ds.labels()
+    labels = ds.labels
     assert set(labels.tolist()) == set(range(10))
-    for s in ds.samples[:50]:
-        assert s.pixels.shape == (8, 8)
-        assert s.pixels.min() >= 0.0 and s.pixels.max() <= 1.0
+    for img in ds.images[:50]:
+        assert img.shape == (8, 8)
+        assert img.min() >= 0.0 and img.max() <= 1.0
 
 
 def test_digits_csv_round_trip(tmp_path):
     ds = load_digits_csv(DIGITS_CSV)
-    subset = Dataset(ds.samples[:20], ds.class_names)
+    subset = Dataset(ds.images[:20], ds.labels[:20], ds.class_names)
     out = tmp_path / "echo.csv"
     write_digits_csv(out, subset)
     again = load_digits_csv(out)
     assert len(again) == 20
-    for a, b in zip(subset.samples, again.samples):
-        assert a.label == b.label
-        assert np.array_equal(a.pixels, b.pixels)
+    for a_img, a_label, b_img, b_label in zip(subset.images, subset.labels,
+                                              again.images, again.labels):
+        assert a_label == b_label
+        assert np.array_equal(a_img, b_img)
 
 
 # ---------------------------------------------------------------------------
@@ -136,8 +147,8 @@ def test_idx_minimal_pair(tmp_path):
     ip, lp = _idx_pair(tmp_path, [[[0, 255], [0, 255]]], [7])
     ds = load_idx(ip, lp)
     assert len(ds) == 1
-    assert ds.samples[0].label == 7
-    assert np.array_equal(ds.samples[0].pixels, [[0.0, 1.0], [0.0, 1.0]])
+    assert ds.labels[0] == 7
+    assert np.array_equal(ds.images[0], [[0.0, 1.0], [0.0, 1.0]])
 
 
 def test_idx_label_magic_on_image_file(tmp_path):
@@ -176,7 +187,7 @@ def test_fashion_mnist_train_file_loads_if_present():
         pytest.skip("Fashion-MNIST files not present under data/fashion/")
     ds = load_idx(ip, lp)
     assert len(ds) == 60000
-    assert ds.samples[0].pixels.shape == (28, 28)
+    assert ds.images[0].shape == (28, 28)
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +244,7 @@ def test_pgm_dir_classes_from_prefix(tmp_path):
     write_pgm(tmp_path / "cat.002.pgm", np.full((2, 2), 0.5))
     ds = load_pgm_dir(tmp_path, {"cat": 0, "dog": 1})
     assert len(ds) == 3
-    assert [s.label for s in ds.samples] == [0, 0, 1]  # sorted filename order
+    assert ds.labels.tolist() == [0, 0, 1]  # sorted filename order
     assert ds.class_names == ("cat", "dog")
 
 
@@ -276,31 +287,39 @@ def test_resize_rejects_non_integer_factor():
         resize_area(np.zeros((10, 10)), 4, 4)
 
 
+@pytest.mark.parametrize("size,out", [(32, 8), (28, 7), (28, 14), (32, 16), (32, 4), (32, 2),
+                                      (8, 4)])
+def test_resize_of_a_stack_is_bitwise_the_per_image_block_mean(size, out):
+    stack = np.random.default_rng(size * out).random((6, size, size))
+    f = size // out
+    want = np.stack([img.reshape(out, f, out, f).mean(axis=(1, 3)) for img in stack])
+    assert resize_area(stack, out, out).tobytes() == want.tobytes()
+
+
 def test_binary_subset_counts_and_labels():
     ds = load_digits_csv(DIGITS_CSV)
     train, test = binary_subset(ds, 0, 1, n_per_class=50, n_test=100, seed=7)
     assert len(train) == 100 and len(test) == 100
-    assert sorted(np.bincount(train.labels()).tolist()) == [50, 50]
-    assert sorted(np.bincount(test.labels()).tolist()) == [50, 50]
-    assert set(train.labels().tolist()) == {0, 1}
+    assert sorted(np.bincount(train.labels).tolist()) == [50, 50]
+    assert sorted(np.bincount(test.labels).tolist()) == [50, 50]
+    assert set(train.labels.tolist()) == {0, 1}
 
 
 def test_binary_subset_is_seeded():
     ds = load_digits_csv(DIGITS_CSV)
     t1, _ = binary_subset(ds, 0, 9, 10, 20, seed=5)
     t2, _ = binary_subset(ds, 0, 9, 10, 20, seed=5)
-    for a, b in zip(t1.samples, t2.samples):
-        assert a.label == b.label and np.array_equal(a.pixels, b.pixels)
+    for a_img, a_label, b_img, b_label in zip(t1.images, t1.labels, t2.images, t2.labels):
+        assert a_label == b_label and np.array_equal(a_img, b_img)
     t3, _ = binary_subset(ds, 0, 9, 10, 20, seed=6)
-    assert any(not np.array_equal(a.pixels, b.pixels)
-               for a, b in zip(t1.samples, t3.samples))
+    assert any(not np.array_equal(a, b) for a, b in zip(t1.images, t3.images))
 
 
 def test_binary_subset_train_test_disjoint():
     ds = load_digits_csv(DIGITS_CSV)
     train, test = binary_subset(ds, 3, 8, 30, 40, seed=11)
-    train_keys = {s.pixels.tobytes() for s in train.samples}
-    test_keys = {s.pixels.tobytes() for s in test.samples}
+    train_keys = {img.tobytes() for img in train.images}
+    test_keys = {img.tobytes() for img in test.images}
     # distinct scans of the same glyph can collide pixelwise, but a full
     # overlap would mean the split reused images; require no intersection
     assert not (train_keys & test_keys)
@@ -322,4 +341,36 @@ def test_binary_subset_five_per_class():
     ds = load_digits_csv(DIGITS_CSV)
     train, test = binary_subset(ds, 0, 1, n_per_class=5, n_test=100, seed=1)
     assert len(train) == 10
-    assert sorted(np.bincount(train.labels()).tolist()) == [5, 5]
+    assert sorted(np.bincount(train.labels).tolist()) == [5, 5]
+
+
+def _per_sample_binary_subset(ds, class_a, class_b, n_per_class, n_test, seed):
+    """The selection spelled out per sample: per class, the matching indices
+    in dataset order, one seeded permutation, then a -> 0 and b -> 1."""
+    samples = list(zip(ds.images, ds.labels))
+    rng = np.random.default_rng(seed)
+    picked = {}
+    for cls in (class_a, class_b):
+        idx = [i for i, (_, label) in enumerate(samples) if label == cls]
+        order = rng.permutation(len(idx))
+        picked[cls] = [samples[idx[j]] for j in order[:n_per_class + n_test // 2]]
+
+    def relabel(part):
+        return [(img, 0 if label == class_a else 1)
+                for cls in (class_a, class_b) for img, label in part(picked[cls])]
+
+    return relabel(lambda p: p[:n_per_class]), relabel(lambda p: p[n_per_class:])
+
+
+@pytest.mark.parametrize("seed", [0, 5, 11])
+@pytest.mark.parametrize("class_a,class_b,n_per_class,n_test",
+                         [(0, 1, 50, 100), (3, 8, 30, 40), (9, 2, 5, 20), (7, 4, 1, 2)])
+def test_binary_subset_equals_the_per_sample_selection(seed, class_a, class_b, n_per_class,
+                                                       n_test):
+    ds = load_digits_csv(DIGITS_CSV)
+    got = binary_subset(ds, class_a, class_b, n_per_class, n_test, seed)
+    for part, want in zip(got, _per_sample_binary_subset(ds, class_a, class_b, n_per_class,
+                                                          n_test, seed)):
+        assert part.images.tobytes() == np.stack([img for img, _ in want]).tobytes()
+        assert part.labels.tolist() == [label for _, label in want]
+        assert part.labels.dtype == np.int64

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qcnnlab import embedding
+from qcnnlab.qcnn import build_architecture, circuit_ops, run_columns
 
 
 RNG = np.random.default_rng(7)
@@ -88,3 +89,18 @@ def test_embed_columns_rejects_what_amplitude_embed_rejects():
         embedding.embed_columns(images, 3)
     with pytest.raises(embedding.RegisterTooSmall, match="8 pixels"):
         embedding.embed_columns(np.ones((4, 8)), 2)
+
+
+@pytest.mark.parametrize("n_qubits,depth,hw", [(4, 1, (4, 4)), (6, 2, (8, 8)), (10, 2, (32, 32))])
+def test_real_embeddings_evolve_exactly_like_their_complex_cast(n_qubits, depth, hw):
+    """The first gate promotes the float64 states to complex exactly, so the
+    circuit sees the same operands either way."""
+    rng = np.random.default_rng(n_qubits)
+    states = embedding.embed_columns(rng.random((5,) + hw), n_qubits)
+    assert states.dtype == np.float64
+    arch = build_architecture(n_qubits, depth)
+    ops = circuit_ops(arch, rng.uniform(-np.pi, np.pi, arch.param_count))
+    real_states, real_p1s = run_columns(arch, ops, states)
+    cast_states, cast_p1s = run_columns(arch, ops, states.astype(np.complex128))
+    assert real_states.tobytes() == cast_states.tobytes()
+    assert real_p1s.tobytes() == cast_p1s.tobytes()

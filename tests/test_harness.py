@@ -12,6 +12,7 @@ import pytest
 
 from qcnnlab import harness
 from qcnnlab.cli import main
+from qcnnlab.datasets import write_pgm
 from qcnnlab.harness import (
     ComparisonTable,
     ConfigError,
@@ -424,19 +425,29 @@ def test_cli_non_dividing_resize_is_config_error(tmp_path, capsys):
     assert "resize 5 does not divide the 8x8" in err
 
 
-@pytest.mark.parametrize("command", ["train-qcnn", "train-cnn", "compare-da"])
+_RUN_FLAGS = ["--data-path", DIGITS, "--n-per-class", "3", "--n-test", "6", "--epochs", "1",
+              "--repetitions", "1", "--depth", "1"]
+_OUT_ARGV = {
+    "train-qcnn": ["train-qcnn", *_RUN_FLAGS],
+    "train-cnn": ["train-cnn", *_RUN_FLAGS],
+    "compare-da": ["compare-da", *_RUN_FLAGS],
+    "augment-preview": ["augment-preview", "--data-path", DIGITS, "--count", "1", "--index", "9"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_OUT_ARGV))
 def test_cli_non_empty_out_is_config_error(tmp_path, capsys, command):
     # a 1-rep run into a 3-rep run's directory would leave metrics_rep1/2.csv
-    # beside the new results
+    # beside the new results; a 1-variant preview would leave aug1.pgm
     out = tmp_path / "old_run"
     out.mkdir()
     (out / "metrics_rep2.csv").write_text("stale\n")
-    code = main([command, "--out", str(out), "--data-path", DIGITS, "--n-per-class", "3",
-                 "--n-test", "6", "--epochs", "1", "--repetitions", "1", "--depth", "1"])
+    code = main([*_OUT_ARGV[command], "--out", str(out)])
     captured = capsys.readouterr()
     assert code == 1
     assert f"output directory {out} is not empty" in captured.err
     assert "mean final test acc" not in captured.out
+    assert "wrote" not in captured.out
     assert sorted(os.listdir(out)) == ["metrics_rep2.csv"]
     assert (out / "metrics_rep2.csv").read_text() == "stale\n"
 
@@ -444,11 +455,29 @@ def test_cli_non_empty_out_is_config_error(tmp_path, capsys, command):
 def test_cli_out_that_is_a_file_is_config_error(tmp_path, capsys):
     out = tmp_path / "taken"
     out.write_text("x")
-    code = main(["train-cnn", "--out", str(out), "--data-path", DIGITS, "--n-per-class", "3",
-                 "--n-test", "6", "--epochs", "1", "--repetitions", "1"])
-    assert code == 1
-    assert "is not a directory" in capsys.readouterr().err
-    assert out.read_text() == "x"
+    for command in ("train-cnn", "augment-preview"):
+        code = main([*_OUT_ARGV[command], "--out", str(out)])
+        assert code == 1, command
+        assert "is not a directory" in capsys.readouterr().err
+        assert out.read_text() == "x"
+
+
+@pytest.mark.parametrize("command", ["train-qcnn", "train-cnn"])
+def test_cli_mixed_size_pgm_dir_is_data_error(tmp_path, capsys, command):
+    data = tmp_path / "pets"
+    data.mkdir()
+    rng = np.random.default_rng(0)
+    for k in range(3):
+        write_pgm(data / f"cat{k}.pgm", rng.random((8, 8)))
+        write_pgm(data / f"dog{k}.pgm", rng.random((4, 16)))
+    out = tmp_path / "run"
+    code = main([command, "--out", str(out), "--dataset", "catdog", "--data-path", str(data),
+                 "--n-per-class", "1", "--n-test", "2", "--epochs", "1", "--repetitions", "1",
+                 "--depth", "1"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "data error: dog0.pgm is 4x16 but cat0.pgm is 8x8" in err
+    assert not out.exists()
 
 
 def test_cli_empty_existing_out_is_accepted(tmp_path):

@@ -8,7 +8,7 @@ import weakref
 from qcnnlab import cnn, training
 from qcnnlab.augment import AugmentConfig, augment_sample
 from qcnnlab.embedding import embed_columns
-from qcnnlab.datasets import Dataset, ImageSample
+from qcnnlab.datasets import Dataset
 from qcnnlab.cnn import build_cnn, cnn_loss_and_grads, train_cnn
 from qcnnlab.qcnn import build_architecture, circuit_ops, forward
 from qcnnlab.training import (
@@ -46,11 +46,13 @@ def _toy_sets(rng, n_train=6, n_test=4):
             img[:4, :] += 0.7
         else:
             img[4:, :] += 0.7
-        return ImageSample(np.clip(img, 0, 1), label)
+        return np.clip(img, 0, 1)
 
-    train = tuple(sample(i % 2) for i in range(n_train))
-    test = tuple(sample(i % 2) for i in range(n_test))
-    return Dataset(train, ("a", "b")), Dataset(test, ("a", "b"))
+    def dataset(n):
+        labels = np.arange(n) % 2
+        return Dataset(np.stack([sample(label) for label in labels]), labels, ("a", "b"))
+
+    return dataset(n_train), dataset(n_test)
 
 
 # ---------------------------------------------------------------------------
@@ -299,8 +301,7 @@ def test_training_reduces_loss_on_separable_toy_data():
 def test_training_rejects_nonbinary_labels():
     rng = np.random.default_rng(13)
     train, test = _toy_sets(rng)
-    bad = Dataset(tuple(ImageSample(s.pixels, s.label + 1) for s in train.samples),
-                  train.class_names)
+    bad = Dataset(train.images, train.labels + 1, train.class_names)
     arch = build_architecture(6, 1)
     with pytest.raises(NonBinaryLabels):
         train_qcnn(arch, bad, test, TrainConfig(epochs=1, seed=0))
@@ -317,9 +318,9 @@ def test_evaluate_returns_loss_and_accuracy():
                            augment_cfg=AugmentConfig(rotation=True))
     for data, loss, acc in ((train, rows[0].train_loss, rows[0].train_acc),
                             (test, rows[0].test_loss, rows[0].test_acc)):
-        p1s = batch_p1s(arch, params, data.images())
-        assert loss == mse_loss(p1s, data.labels()) and loss >= 0.0
-        assert acc == accuracy(p1s, data.labels()) and 0.0 <= acc <= 1.0
+        p1s = batch_p1s(arch, params, data.images)
+        assert loss == mse_loss(p1s, data.labels) and loss >= 0.0
+        assert acc == accuracy(p1s, data.labels) and 0.0 <= acc <= 1.0
 
 
 def test_divergent_step_raises_training_error():
@@ -333,7 +334,7 @@ def test_divergent_step_raises_training_error():
             backward=lambda p, cache, y: np.full_like(p, np.nan))
     with pytest.raises(TrainingError, match="seed 2, epoch 0, lr 0.1"):
         fit(np.zeros(3), train, test, cfg, None, **model, backward=lambda p, cache, y: p + 1,
-            score=lambda out, y: (np.inf if len(out) == len(test.samples) else 0.25, 0.5))
+            score=lambda out, y: (np.inf if len(out) == len(test) else 0.25, 0.5))
     rows, _ = fit(np.zeros(3), train, test, cfg, None, **model,
                   backward=lambda p, cache, y: p + 1, score=finite_score)
     assert len(rows) == 3
@@ -375,15 +376,15 @@ def _reference_fit(arch, train, test, cfg, aug):
     params, moments, rows = init_params(arch, cfg.seed), None, []
     rng = np.random.default_rng([cfg.seed, 1])
     for epoch in range(cfg.epochs):
-        images = train.images()
+        images = train.images
         if aug is not None:
             images = [augment_sample(img, aug, rng) for img in images]
-        grads = grad_exact(arch, params, images, train.labels())
+        grads = grad_exact(arch, params, images, train.labels)
         params, moments = adam_step(params, grads, moments, epoch + 1, lr_at(epoch, cfg))
         metrics = []
         for data in (train, test):
-            p1s = batch_p1s(arch, params, data.images())
-            metrics += [mse_loss(p1s, data.labels()), accuracy(p1s, data.labels())]
+            p1s = batch_p1s(arch, params, data.images)
+            metrics += [mse_loss(p1s, data.labels), accuracy(p1s, data.labels)]
         rows.append(MetricsRow(epoch, *metrics))
     return rows, params
 
@@ -408,7 +409,7 @@ def test_fit_applies_the_gradient_at_each_epochs_params_and_batch(monkeypatch, m
     augmentation (each gradient reuses the metrics' train forward) and 3E
     with it."""
     train, test = _toy_sets(np.random.default_rng(18))
-    epochs, labels = 4, train.labels()
+    epochs, labels = 4, train.labels
     steps = _record_calls(monkeypatch, training, "adam_step", lambda args, out: args[:2])
     batches = _record_calls(monkeypatch, training, "augment_batch", lambda args, out: out)
     if model == "qcnn":
@@ -424,7 +425,7 @@ def test_fit_applies_the_gradient_at_each_epochs_params_and_batch(monkeypatch, m
     assert len(forwards) == (3 * epochs if aug else 2 * epochs + 1)
     assert len(steps) == epochs and len(batches) == (epochs if aug else 0)
     for epoch, (params, grads) in enumerate(steps):
-        images = batches[epoch] if aug else train.images()
+        images = batches[epoch] if aug else train.images
         assert np.array_equal(grads, fresh(params, images))
 
 
