@@ -178,13 +178,14 @@ def _check_block_build():
 
 def _check_pooling_branches():
     rng = np.random.default_rng(2)
-    arch = build_architecture(4, 1)
-    for _ in range(5):
-        params = rng.uniform(-np.pi, np.pi, arch.param_count)
-        pixels = rng.random(16)
-        a = forward(arch, params, pixels)
-        b = forward_branching(arch, params, pixels)
-        assert abs(a - b) < 1e-12
+    for n, d in ((4, 1), (6, 2)):
+        arch = build_architecture(n, d)
+        for _ in range(5):
+            params = rng.uniform(-np.pi, np.pi, arch.param_count)
+            pixels = rng.random(2**n)
+            a = forward(arch, params, pixels)
+            b = forward_branching(arch, params, pixels)
+            assert abs(a - b) < 1e-12
 
 
 def _check_gradients():
@@ -324,10 +325,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except UsageError as exc:
-        print(exc, file=sys.stderr)
-        return 1
-    try:
         return args.func(args)
     except UsageError as exc:
         print(exc, file=sys.stderr)
@@ -335,10 +332,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except DatasetError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (DatasetError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
     except (SimulatorError, EmbeddingError, QcnnError, TrainingError, AugmentError,

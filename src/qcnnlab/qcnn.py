@@ -37,7 +37,7 @@ from .embedding import amplitude_embed, embed_columns
 from .simulator import (
     _ISING_GENERATORS,
     PAULIS,
-    _apply_gate,
+    _layout_plan,
     apply_gate,
     controlled,
     ising_matrix,
@@ -370,11 +370,13 @@ def circuit_ops(arch: Architecture, params) -> list[GateOp]:
 def run_columns(arch: Architecture, ops, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Evolve every column of ``states`` through ``ops`` and read each out.
 
-    Returns (final states, class-1 probability per column).  Every QCNN
-    forward pass but the measure-and-branch oracle runs through here.
+    Returns (final states, class-1 probability per column).  One gather per
+    block (:func:`_layout_plan`); every QCNN forward but the oracle's runs here.
     """
-    for op in ops:
-        states = _apply_gate(states, op.matrix, op.targets, arch.n_qubits)
+    gathers = _layout_plan(tuple([op.targets for op in ops]), arch.n_qubits)[0]
+    for op, gather in zip(ops, gathers):
+        states = (op.matrix @ states[gather].reshape(len(op.matrix), -1)).reshape(states.shape)
+    states = states[gathers[-1]]
     mask = ((np.arange(states.shape[0]) >> arch.readout_wire) & 1).astype(bool)
     return states, np.sum(np.abs(states[mask]) ** 2, axis=0)
 

@@ -7,9 +7,9 @@ to complex exactly, so every gate's output is complex.  Qubit 0 is the
 least-significant bit of the basis-state index, so basis state |q1 q0> = |10>
 sits at index 2.  Gates are dense 2x2 or 4x4 complex matrices; for a
 multi-qubit gate the first entry of ``targets`` addresses the most
-significant bit of the gate's own index.  The one gate kernel gathers the
-target bits into the leading rows with a row order cached per (targets, n),
-multiplies by the gate, and scatters the rows back.
+significant bit of the gate's own index.  The checked one-gate kernel gathers
+the target bits into the leading rows, multiplies and scatters back; a circuit
+runs one cached, composed gather per gate and scatters back once at the end.
 
 All amplitudes are double precision; the unitarity and norm tolerances used
 by the test suite (1e-10 / 1e-12) assume that.  Global phase is never
@@ -156,13 +156,14 @@ def apply_gate(state: np.ndarray, g: np.ndarray, targets) -> np.ndarray:
     """
     if state.ndim not in (1, 2):
         raise DimensionMismatch(f"state must be (2**n,) or (2**n, m), got shape {state.shape}")
-    targets = tuple(int(t) for t in targets)
+    targets = tuple([int(t) for t in targets])
     n = num_qubits(state)
     _check_targets(n, targets)
     k = len(targets)
     if g.shape != (2**k, 2**k):
         raise DimensionMismatch(f"gate shape {g.shape} does not match {k} target(s)")
-    return _apply_gate(state, g, targets, n)
+    order, inverse = _row_order(targets, n)
+    return (g @ state[order].reshape(len(g), -1)).reshape(state.shape)[inverse]
 
 
 @lru_cache(maxsize=None)
@@ -188,11 +189,21 @@ def _row_order(targets: tuple[int, ...], n: int) -> tuple[np.ndarray, np.ndarray
     return order, inverse
 
 
-def _apply_gate(state: np.ndarray, g: np.ndarray, targets, n: int) -> np.ndarray:
-    """:func:`apply_gate` without its checks, for a validated gate sequence."""
-    order, inverse = _row_order(tuple(targets), n)
-    psi = g @ state[order].reshape(len(g), -1)
-    return psi.reshape(state.shape)[inverse]
+@lru_cache(maxsize=None)
+def _layout_plan(targets: tuple[tuple[int, ...], ...], n: int) -> tuple[tuple[np.ndarray, ...], ...]:
+    """(forward, backward) row gathers that run gates 0..L on ``targets``, one per gate.
+
+    With :func:`_row_order`'s (order_j, inverse_j), forward is order_0, each
+    inverse_j[order_{j+1}], then inverse_L; backward is order_L, then each
+    inverse_j[order_{j-1}].  Build the key from a list: a generator-built
+    tuple is resized, which parks one more tuple on CPython's free list.
+    """
+    orders = [_row_order(t, n) for t in targets]
+    forward, backward = ([seq[0][0]] + [inv[order] for (_, inv), (order, _) in zip(seq, seq[1:])]
+                         for seq in (orders, orders[::-1]))
+    for gather in forward + backward:
+        gather.setflags(write=False)
+    return (*forward, orders[-1][1]), tuple(backward)
 
 
 def readout_prob_one(state: np.ndarray, qubit: int) -> float:
@@ -210,7 +221,7 @@ def expand_gate(g: np.ndarray, targets, n_qubits: int) -> np.ndarray:
     Builds kron(g, I) on a register reordered as (targets..., rest...) and
     permutes basis indices back to the qubit-0-least-significant convention.
     """
-    targets = tuple(int(t) for t in targets)
+    targets = tuple([int(t) for t in targets])
     _check_targets(n_qubits, targets)
     k = len(targets)
     if g.shape != (2**k, 2**k):

@@ -27,7 +27,7 @@ import numpy as np
 from .augment import AugmentConfig, augment_batch
 from .embedding import embed_columns
 from .qcnn import Architecture, circuit_ops, run_columns
-from .simulator import _row_order
+from .simulator import _layout_plan
 
 
 class TrainingError(ValueError):
@@ -153,11 +153,10 @@ def _backward(arch: Architecture, ops, cache: list, labels) -> np.ndarray:
     block's environment E = ket @ bra^H contracts every other wire and
     the batch into a k x k matrix, and dL/dtheta = 2 Re tr(dU_j/dtheta E)
     for all of the block's parameters at once.  Shared parameters
-    accumulate over every block they drive.  The sweep empties ``cache``,
-    so that it frees the forward's states block by block, whoever else
-    still holds the list.
+    accumulate over every block they drive.  One gather per block moves ket
+    and bra between layouts (:func:`_layout_plan`); the sweep empties ``cache``
+    so that its first gather frees the forward's states, whoever holds the list.
     """
-    n = arch.n_qubits
     labels = np.asarray(labels, dtype=np.float64).reshape(-1)
     ket, p1s = cache
     cache.clear()
@@ -165,19 +164,18 @@ def _backward(arch: Architecture, ops, cache: list, labels) -> np.ndarray:
     bra = ket * (2.0 * (p1s - labels) / labels.size)
     bra[((np.arange(len(bra)) >> arch.readout_wire) & 1) == 0] = 0
     grads = np.zeros(arch.param_count, dtype=np.float64)
-    for op in reversed(ops):
-        order, inverse = _row_order(op.targets, n)
-        inv = op.matrix.conj().T
-        ket = inv @ ket[order].reshape(len(inv), -1)
-        rows = bra[order].reshape(len(inv), -1)
+    gathers = _layout_plan(tuple([op.targets for op in ops]), arch.n_qubits)[1]
+    for op, gather in zip(reversed(ops), gathers):
+        ket = ket.reshape(shape)[gather]
+        rows = bra.reshape(shape)[gather].reshape(len(op.matrix), -1)
         del bra
+        inv = op.matrix.conj().T
+        ket = inv @ ket.reshape(len(inv), -1)
         bra = inv @ rows
         env = ket @ np.conjugate(rows, out=rows).T
         del rows
         index, derivs = op.grads
         grads[index] += 2.0 * np.real(derivs.reshape(len(index), -1) @ env.T.reshape(-1))
-        ket = ket.reshape(shape)[inverse]
-        bra = bra.reshape(shape)[inverse]
     return grads
 
 

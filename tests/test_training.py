@@ -1,11 +1,12 @@
 """Tests for loss, gradient engines, Adam, and the training loop."""
 
+import weakref
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-import weakref
-
-from qcnnlab import cnn, training
+from qcnnlab import cnn, simulator, training
 from qcnnlab.augment import AugmentConfig, augment_sample
 from qcnnlab.embedding import embed_columns
 from qcnnlab.datasets import Dataset
@@ -429,13 +430,26 @@ def test_fit_applies_the_gradient_at_each_epochs_params_and_batch(monkeypatch, m
         assert np.array_equal(grads, fresh(params, images))
 
 
+class _RecordedGrads(tuple):
+    """An op's (indices, derivatives) that calls ``seen()`` whenever the sweep unpacks it."""
+
+    def __new__(cls, grads, seen):
+        out = super().__new__(cls, grads)
+        out.seen = seen
+        return out
+
+    def __iter__(self):
+        self.seen()
+        return super().__iter__()
+
+
 @pytest.mark.parametrize("aug", [None, AugmentConfig(rotation=True)])
 def test_the_sweep_frees_the_forward_states_block_by_block(monkeypatch, aug):
     """No forward's states are alive while the next forward runs, and the sweep
-    drops the forward it starts from after its first block."""
+    drops the forward it starts from with its first gather, before block 1."""
     train, test = _toy_sets(np.random.default_rng(19))
     arch = build_architecture(6, 1)
-    states = []
+    states, at_block = [], []
     alive = lambda *_: sum(ref() is not None for ref in states)
 
     def at_forward_end(args, out):
@@ -443,12 +457,25 @@ def test_the_sweep_frees_the_forward_states_block_by_block(monkeypatch, aug):
         states.append(weakref.ref(out[0]))
         return count
 
+    def recorded_ops(arch, params):
+        seen = lambda: at_block.append(alive())
+        return [replace(op, grads=_RecordedGrads(op.grads, seen)) for op in circuit_ops(arch, params)]
+
     at_forward = _record_calls(monkeypatch, training, "run_columns", at_forward_end)
-    at_block = _record_calls(monkeypatch, training, "_row_order", alive)
+    monkeypatch.setattr(training, "circuit_ops", recorded_ops)
     train_qcnn(arch, train, test, TrainConfig(epochs=3, seed=1), augment_cfg=aug)
     blocks = len(circuit_ops(arch, init_params(arch, 1)))
     assert at_forward == [0] * len(at_forward)
-    assert at_block == ([1] + [0] * (blocks - 1)) * 3
+    assert at_block == [0] * blocks * 3
+
+
+def test_a_run_builds_one_layout_plan_per_architecture():
+    train, test = _toy_sets(np.random.default_rng(20))
+    simulator._layout_plan.cache_clear()
+    for k, (n, d) in enumerate(((6, 1), (7, 2)), start=1):
+        for aug in (None, AugmentConfig(rotation=True)):
+            train_qcnn(build_architecture(n, d), train, test, TrainConfig(epochs=3, seed=1), augment_cfg=aug)
+        assert simulator._layout_plan.cache_info().misses == k
 
 
 # ---------------------------------------------------------------------------
