@@ -17,7 +17,7 @@ from dataclasses import fields
 import numpy as np
 
 from .augment import AugmentError, augment_batch, augment_sample, flip_h, preset
-from .cnn import build_cnn, cnn_loss_and_grads
+from .cnn import build_cnn, cnn_loss_and_grads, conv2d, conv_relu_pool, maxpool2x2, maxpool2x2_backward, relu
 from .datasets import (
     Dataset,
     DatasetError,
@@ -210,6 +210,20 @@ def _check_cnn_gradients():
     assert np.max(np.abs(exact - fd)) < 1e-6
 
 
+def _check_cnn_pooling_order():
+    # the fused path reorders dgemm rows, so each row must not depend on its place
+    rng = np.random.default_rng(9)
+    for m, h, c in ((4, 8, 1), (3, 14, 8)):
+        x, kern, bias = rng.random((m, h, h, c)), rng.normal(size=(3, 3, c, 8)), rng.normal(size=8)
+        pooled, route = conv_relu_pool(x, kern, bias)
+        want, want_route = maxpool2x2(relu(conv2d(x, kern, bias)))
+        assert np.array_equal(pooled, want) and np.array_equal(route, want_route)
+        dout, dx = rng.normal(size=pooled.shape), np.zeros((m, h, h, 8))
+        for e in range(4):
+            np.copyto(dx[:, e // 2 :: 2, e % 2 :: 2], dout, where=route == e)
+        assert np.array_equal(maxpool2x2_backward(dx.shape, route, dout), dx)
+
+
 def _check_augment():
     rng = np.random.default_rng(4)
     img = rng.random((8, 8))
@@ -259,6 +273,7 @@ _SELFTEST_CHECKS = (
     ("pooling branch equivalence", _check_pooling_branches),
     ("gradient engines agree", _check_gradients),
     ("cnn gradient matches finite differences", _check_cnn_gradients),
+    ("cnn pooling order matches the reference layers", _check_cnn_pooling_order),
     ("augmentation bounds", _check_augment),
     ("batched augmentation matches per-image draws", _check_batched_augment),
     ("optimizer", _check_optimizer),

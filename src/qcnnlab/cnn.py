@@ -12,9 +12,11 @@ plus a ones column for the bias) and multiplies it by the stacked weights
 once; its backward pass takes the weight and bias gradients from one
 matmul with the same matrix and the input gradient from one matmul and k*k
 strided adds (col2im).  The first layer's input gradient, which is with
-respect to the images, is not computed.  Pooling finds each window's max
-and first-wins entry with elementwise ops over the four window entries,
-and its backward pass is one masked strided copy per window entry.
+respect to the images, is not computed.  The network gathers its patch
+rows in pooling order, so the matmul writes one contiguous plane per window
+entry and each window's max and first-wins entry are elementwise ops over
+four planes; conv2d and maxpool2x2 are the reference layers it equals bit
+for bit.  Pooling's backward pass is one flat scatter.
 Every backward pass is checked against central finite differences in the
 test suite.  The model is split into an encode, forward, score and backward
 step, which :func:`training.fit` drives: without augmentation, the
@@ -106,14 +108,15 @@ def build_cnn(input_hw: tuple[int, int], seed: int,
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _patch_index(h: int, w: int, c: int, k: int) -> np.ndarray:
-    """Gather index of one image's patch rows, read-only.
+def _patch_index(h: int, w: int, c: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gather index of one image's patch rows, natural and pooling order, read-only.
 
     The source is the image's h*w*c pixels followed by a 0 and a 1.  Row
     i*w + j lists the pixels kernel entry (di, dj, ch) meets at output pixel
     (i, j), in the order of kernels.reshape(-1, c_out); entries outside the
     frame read the 0 ("same" zero padding).  The last column reads the 1,
-    which carries the bias.
+    which carries the bias.  The pooling order takes the rows in the order
+    (i % 2, j % 2, i // 2, j // 2) and leaves out an odd last row or column.
     """
     p = k // 2
     i = (np.arange(h)[:, None] + np.arange(k)[None, :] - p)[:, None, :, None, None]
@@ -121,18 +124,21 @@ def _patch_index(h: int, w: int, c: int, k: int) -> np.ndarray:
     inside = (i >= 0) & (i < h) & (j >= 0) & (j < w)
     idx = np.where(inside, (i * w + j) * c + np.arange(c), h * w * c)
     idx = np.hstack([idx.reshape(h * w, k * k * c), np.full((h * w, 1), h * w * c + 1)])
+    rows = np.arange(h * w).reshape(h, w)[: h - h % 2, : w - w % 2]
+    pool = idx[rows.reshape(h // 2, 2, w // 2, 2).transpose(1, 3, 0, 2).reshape(-1)]
     idx.setflags(write=False)
-    return idx
+    pool.setflags(write=False)
+    return idx, pool
 
 
-def _patches(x: np.ndarray, k: int) -> np.ndarray:
-    """The (m*h*w, k*k*c + 1) patch matrix of x, one row per output pixel."""
+def _patches(x: np.ndarray, k: int, pool_order: bool = False) -> np.ndarray:
+    """The (pixels, k*k*c + 1) patch matrix of x, rows in natural or pooling order."""
     m, h, w, c = x.shape
     src = np.empty((m, h * w * c + 2))
     src[:, :-2] = x.reshape(m, -1)
     src[:, -2] = 0.0
     src[:, -1] = 1.0
-    return np.take(src, _patch_index(h, w, c, k), axis=1).reshape(m * h * w, -1)
+    return np.take(src, _patch_index(h, w, c, k)[pool_order], axis=1).reshape(-1, k * k * c + 1)
 
 
 def conv2d(x: np.ndarray, kernels: np.ndarray, biases: np.ndarray) -> np.ndarray:
@@ -140,10 +146,13 @@ def conv2d(x: np.ndarray, kernels: np.ndarray, biases: np.ndarray) -> np.ndarray
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 4 or kernels.ndim != 4 or x.shape[3] != kernels.shape[2]:
         raise ShapeMismatch(f"conv input {x.shape} vs kernels {kernels.shape}")
-    m, h, w, _ = x.shape
-    c_out = kernels.shape[3]
-    weights = np.vstack((kernels.reshape(-1, c_out), biases))
-    return (_patches(x, kernels.shape[0]) @ weights).reshape(m, h, w, c_out)
+    return _conv_rows(x, kernels, biases).reshape(*x.shape[:3], kernels.shape[3])
+
+
+def _conv_rows(x, kernels, biases, pool_order: bool = False) -> np.ndarray:
+    """conv2d as one (pixels, c_out) matrix, rows in natural or pooling order."""
+    weights = np.vstack((kernels.reshape(-1, kernels.shape[3]), biases))
+    return _patches(x, kernels.shape[0], pool_order) @ weights
 
 
 def _conv_param_grads(x: np.ndarray, kernels: np.ndarray, dout2d: np.ndarray):
@@ -188,25 +197,38 @@ def maxpool2x2(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     m, h, w, c = x.shape
     h2, w2 = h // 2, w // 2
-    # one contiguous (m, h2, w2, c) plane per window entry, so the max and the
-    # first-wins search are elementwise ops instead of a per-window argmax
-    entries = x[:, : 2 * h2, : 2 * w2, :].reshape(m, h2, 2, w2, 2, c)
-    entries = entries.transpose(2, 4, 0, 1, 3, 5).reshape(4, m, h2, w2, c)
-    pooled = entries.max(axis=0)
-    later = entries[0] != pooled  # the max lies past this entry
+    planes = x[:, : 2 * h2, : 2 * w2, :].reshape(m, h2, 2, w2, 2, c)
+    return _pool_planes(planes.transpose(0, 2, 4, 1, 3, 5).reshape(m, 4, h2, w2, c))
+
+
+def _pool_planes(planes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """maxpool2x2 of (m, 4, h2, w2, c) window planes, one per window entry."""
+    pooled = planes.max(axis=1)
+    later = planes[:, 0] != pooled  # the max lies past this entry
     route = later.astype(np.intp)
-    for entry in entries[1:3]:
-        later &= entry != pooled
+    for e in (1, 2):
+        later &= planes[:, e] != pooled
         route += later
     return pooled, route
 
 
+def conv_relu_pool(x: np.ndarray, kernels: np.ndarray, biases: np.ndarray):
+    """maxpool2x2(relu(conv2d(x, kernels, biases))) bit for bit, from pooling-order rows."""
+    m, h, w, _ = x.shape
+    planes = _conv_rows(x, kernels, biases, pool_order=True)
+    planes = planes.reshape(m, 4, h // 2, w // 2, kernels.shape[3])
+    return _pool_planes(np.maximum(planes, 0.0, out=planes))
+
+
 def maxpool2x2_backward(x_shape, route: np.ndarray, dout: np.ndarray) -> np.ndarray:
     """Each pooled gradient to its routed window entry, zero elsewhere."""
-    h2, w2 = x_shape[1] // 2, x_shape[2] // 2
+    m, h, w, c = x_shape
+    # routed offsets plus window top-left flat indices, summed in place: one index array
+    flat = np.array([0, c, w * c, w * c + c])[route]
+    flat += np.arange(m)[:, None, None, None] * (h * w * c)
+    flat += np.arange(0, h - 1, 2)[:, None, None] * (w * c) + np.arange(0, w - 1, 2)[:, None] * c + np.arange(c)
     dx = np.zeros(x_shape)
-    for e in range(4):  # entry e = 2 * row + col of its window
-        np.copyto(dx[:, e // 2 : 2 * h2 : 2, e % 2 : 2 * w2 : 2, :], dout, where=route == e)
+    dx.reshape(-1)[flat] = dout
     return dx
 
 
@@ -235,9 +257,8 @@ def _forward(model: CnnModel, x: np.ndarray):
     """Logits, plus the logits and per-layer caches the backward pass replays."""
     caches = []
     for kern, bias in zip(model.kernels, model.conv_biases):
-        act = relu(conv2d(x, kern, bias))
-        pooled, route = maxpool2x2(act)
-        caches.append((x, act.shape, route, pooled))
+        pooled, route = conv_relu_pool(x, kern, bias)
+        caches.append((x, (*x.shape[:3], kern.shape[3]), route, pooled))
         x = pooled
     m = x.shape[0]
     flat = x.reshape(m, -1)
@@ -284,10 +305,6 @@ def cnn_loss_and_grads(model: CnnModel, images, labels):
     labels = np.asarray(labels).reshape(-1)
     logits, cache = _forward(model, _encode(images))
     return (*_score(logits, labels), _backward(model, cache, labels))
-
-
-def cnn_evaluate(model: CnnModel, images, labels) -> tuple[float, float]:
-    return _score(_forward(model, _encode(images))[0], np.asarray(labels).reshape(-1))
 
 
 def train_cnn(model: CnnModel, train_set, test_set, cfg: TrainConfig,

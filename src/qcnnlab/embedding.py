@@ -38,8 +38,8 @@ def embed_columns(images, n_qubits: int) -> np.ndarray:
     dim = 2**n_qubits
     if values.shape[1] > dim:
         raise RegisterTooSmall(f"{values.shape[1]} pixels need more than {n_qubits} qubits")
-    # the 1-D norm is a dot product; norm(values, axis=1) sums in another order
-    norms = np.array([np.linalg.norm(row) for row in values])
+    # each (1, n) @ (n, 1) product sums like norm(row); norm(values, axis=1) does not
+    norms = np.sqrt((values[:, None, :] @ values[:, :, None])[:, 0, 0])
     if not norms.all():
         raise AllZeroImage("cannot amplitude-embed an all-zero image")
     states = np.zeros((dim, len(values)))

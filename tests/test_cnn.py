@@ -1,18 +1,21 @@
 """Tests for the classical CNN layers, gradients, and training loop."""
 
+import os
+
 import numpy as np
 import pytest
 
 from qcnnlab.augment import AugmentConfig, augment_sample
-from qcnnlab.datasets import Dataset
+from qcnnlab import cnn
+from qcnnlab.datasets import Dataset, binary_subset, load_digits_csv
 from qcnnlab.training import MetricsRow, ShapeMismatch, TrainConfig, adam_step, grad_fd, lr_at
 from qcnnlab.cnn import (
     CnnModel,
     build_cnn,
-    cnn_evaluate,
     cnn_loss_and_grads,
     conv2d,
     conv2d_backward,
+    conv_relu_pool,
     conv_specs_for,
     maxpool2x2,
     maxpool2x2_backward,
@@ -163,6 +166,21 @@ def test_maxpool_matches_argmax_reference():
         assert np.array_equal(pooled, want_pooled)
 
 
+@pytest.mark.parametrize("m", [1, 3])
+@pytest.mark.parametrize("hw, c_in, k", [(hw, c_in, k) for hw in ((5, 7), (8, 8), (9, 6))
+                                         for c_in in (1, 8) for k in (1, 3, 5)])
+def test_conv_relu_pool_is_bitwise_the_reference_layers(m, hw, c_in, k):
+    """The pooling-order rows give the natural rows' dot products bit for bit."""
+    rng = np.random.default_rng(1000 * m + 100 * k + 10 * c_in + hw[0])
+    x = rng.normal(size=(m, *hw, c_in))
+    kern = rng.normal(size=(k, k, c_in, 4))
+    bias = rng.normal(size=4)
+    pooled, route = conv_relu_pool(x, kern, bias)
+    want_pooled, want_route = maxpool2x2(relu(conv2d(x, kern, bias)))
+    assert route.dtype == want_route.dtype and np.array_equal(route, want_route)
+    assert pooled.shape == want_pooled.shape and pooled.tobytes() == want_pooled.tobytes()
+
+
 def _ref_loss_and_grads(model, images, labels):
     """Full-model loss and gradient from the reference kernels, with relu's
     backward at the full activation size and every layer's input gradient."""
@@ -294,6 +312,29 @@ def test_maxpool_backward_is_bitwise_the_scatter_reference(shape, ties):
     assert np.array_equal(dx, want) and dx.tobytes() == want.tobytes()
 
 
+def _masked_copy_maxpool2x2_backward(x_shape, route, dout):
+    """One masked strided copy per window entry."""
+    h2, w2 = x_shape[1] // 2, x_shape[2] // 2
+    dx = np.zeros(x_shape)
+    for e in range(4):  # entry e = 2 * row + col of its window
+        np.copyto(dx[:, e // 2 : 2 * h2 : 2, e % 2 : 2 * w2 : 2, :], dout, where=route == e)
+    return dx
+
+
+def test_maxpool_backward_is_bitwise_the_masked_copies():
+    nan_window = np.zeros((1, 4, 4, 2))
+    nan_window[0, 2, 3, 1] = np.nan  # its window pools to NaN and routes to entry 3
+    rng = np.random.default_rng(12)
+    for x in (*_pool_inputs(), nan_window):
+        pooled, route = maxpool2x2(x)
+        dout = rng.standard_normal(pooled.shape)
+        dout[rng.random(pooled.shape) < 0.3] = -0.0
+        dx = maxpool2x2_backward(x.shape, route, dout)
+        want = _masked_copy_maxpool2x2_backward(x.shape, route, dout)
+        assert np.array_equal(dx, want) and np.array_equal(np.signbit(dx), np.signbit(want))
+    assert route[0, 1, 1, 1] == 3 and dx[0, 3, 3, 1] == dout[0, 1, 1, 1]
+
+
 # ---------------------------------------------------------------------------
 # softmax head
 # ---------------------------------------------------------------------------
@@ -309,14 +350,14 @@ def _constant_logits_model(logits):
 
 def test_softmax_even_logits():
     images = np.random.default_rng(0).random((2, 8, 8))
-    loss, acc = cnn_evaluate(_constant_logits_model([0.0, 0.0]), images, [0, 1])
+    loss, acc = cnn_loss_and_grads(_constant_logits_model([0.0, 0.0]), images, [0, 1])[:2]
     assert loss == pytest.approx(np.log(2.0), abs=1e-12)
     assert acc == 0.5  # ties go to class 0
 
 
 def test_softmax_confident_correct_has_tiny_loss():
     images = np.random.default_rng(1).random((3, 8, 8))
-    loss, acc = cnn_evaluate(_constant_logits_model([20.0, -20.0]), images, [0, 0, 0])
+    loss, acc = cnn_loss_and_grads(_constant_logits_model([20.0, -20.0]), images, [0, 0, 0])[:2]
     assert loss == pytest.approx(0.0, abs=1e-12)
     assert acc == 1.0
 
@@ -325,7 +366,7 @@ def test_softmax_survives_huge_logits():
     # exp(1000) overflows, and softmax's p[1] underflows to 0, yet the
     # log-sum-exp form gives the exact loss.
     images = np.random.default_rng(2).random((2, 8, 8))
-    loss, acc = cnn_evaluate(_constant_logits_model([1000.0, 0.0]), images, [1, 1])
+    loss, acc = cnn_loss_and_grads(_constant_logits_model([1000.0, 0.0]), images, [1, 1])[:2]
     assert loss == pytest.approx(1000.0, rel=1e-12)
     assert acc == 0.0
 
@@ -468,7 +509,7 @@ def test_evaluate_matches_training_metrics():
     train, test = _toy_sets(rng)
     model = build_cnn((8, 8), seed=10)
     rows, trained = train_cnn(model, train, test, TrainConfig(epochs=2, seed=10))
-    loss, acc = cnn_evaluate(trained, train.images, train.labels)
+    loss, acc = cnn_loss_and_grads(trained, train.images, train.labels)[:2]
     assert loss == pytest.approx(rows[-1].train_loss, abs=1e-12)
     assert acc == pytest.approx(rows[-1].train_acc, abs=1e-12)
 
@@ -486,7 +527,7 @@ def _reference_train_cnn(model, train, test, cfg, aug):
         stepped = model.with_params(params)
         metrics = []
         for data in (train, test):
-            metrics += cnn_evaluate(stepped, data.images, data.labels)
+            metrics += cnn_loss_and_grads(stepped, data.images, data.labels)[:2]
         rows.append(MetricsRow(epoch, *metrics))
     return rows, params
 
@@ -501,3 +542,32 @@ def test_train_cnn_equals_the_reference_loop_exactly(hw, aug):
     ref_rows, ref_params = _reference_train_cnn(model, train, test, cfg, aug)
     assert rows == ref_rows
     assert trained.pack().tobytes() == ref_params.tobytes()
+
+
+def _reference_forward(model, x):
+    """The forward pass composed from the reference layers, one call each."""
+    caches = []
+    for kern, bias in zip(model.kernels, model.conv_biases):
+        act = relu(conv2d(x, kern, bias))
+        pooled, route = maxpool2x2(act)
+        caches.append((x, act.shape, route, pooled))
+        x = pooled
+    flat = x.reshape(len(x), -1)
+    logits = flat @ model.dense_w + model.dense_b
+    return logits, (caches, flat, x.shape, logits)
+
+
+@pytest.mark.parametrize("scale", [1, 2])  # 8x8 digits, and block-upsampled to 16x16
+def test_train_cnn_on_digits_equals_the_reference_layers_exactly(scale, monkeypatch):
+    digits = load_digits_csv(os.path.join(os.path.dirname(__file__), "..", "data", "digits.csv"))
+    train, test = binary_subset(digits, 0, 1, 20, 10, seed=4)
+    if scale > 1:
+        up = np.ones((scale, scale))
+        train, test = (Dataset(np.kron(d.images, up), d.labels, d.class_names) for d in (train, test))
+    model = build_cnn(train.images.shape[1:], seed=5)
+    cfg = TrainConfig(epochs=5, seed=6)
+    rows, trained = train_cnn(model, train, test, cfg)
+    monkeypatch.setattr(cnn, "_forward", _reference_forward)
+    ref_rows, ref_trained = train_cnn(model, train, test, cfg)
+    assert rows == ref_rows
+    assert trained.pack().tobytes() == ref_trained.pack().tobytes()

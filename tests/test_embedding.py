@@ -82,6 +82,18 @@ def test_embed_columns_equals_stacked_amplitude_embed():
         assert np.array_equal(embedding.embed_columns(list(images), n), got)
 
 
+@pytest.mark.parametrize("rows, cols", [(1, 1024), (1, 1), (2, 3), (17, 64), (300, 64), (50, 1024)])
+def test_embed_columns_divides_by_the_per_row_norm(rows, cols):
+    rng = np.random.default_rng(rows * 10000 + cols)
+    values = rng.random((rows, cols)) * rng.uniform(0.01, 20.0, (rows, 1))
+    n = (cols - 1).bit_length()
+    want = np.stack([row / np.linalg.norm(row) for row in values], axis=1)
+    assert embedding.embed_columns(values, n)[:cols].tobytes() == want.tobytes()
+    values[-1] = 0.0
+    with pytest.raises(embedding.AllZeroImage):
+        embedding.embed_columns(values, n)
+
+
 def test_embed_columns_rejects_what_amplitude_embed_rejects():
     images = np.random.default_rng(9).random((5, 8))
     images[3] = 0.0
