@@ -102,6 +102,9 @@ def _cmd_compare_da(args) -> int:
 
 
 def _cmd_augment_preview(args) -> int:
+    for flag, value in (("--count", args.count), ("--seed", args.seed)):
+        if value < 0:
+            raise UsageError(f"augment-preview: {flag} must be >= 0, got {value}")
     _check_out_dir(args.out)
     cfg = ExperimentConfig(dataset=args.dataset, data_path=args.data_path,
                            resize=int(args.resize))
@@ -122,8 +125,7 @@ def _cmd_augment_preview(args) -> int:
         for k, img in enumerate(variants):
             write_pgm(os.path.join(tmp, f"aug{k}.pgm"), img)
         if image.shape == (8, 8):
-            rows = Dataset(np.stack([image] + variants), np.full(1 + len(variants), label),
-                           pool.class_names)
+            rows = Dataset(np.stack([image] + variants), np.full(1 + len(variants), label))
             write_digits_csv(os.path.join(tmp, "preview.csv"), rows)
 
     _write_atomically(args.out, write)
@@ -169,7 +171,7 @@ def _check_block_build():
         per_gate = []
         for depth, wires in enumerate(arch.active_wires):
             per_gate += conv_block_ops(blocks[depth][0], wires, first_depth=(depth == 0))
-            per_gate += pool_block_ops(blocks[depth][1], wires)[0]
+            per_gate += pool_block_ops(blocks[depth][1], wires)
         per_gate += flatten_block_ops(flat_w, arch.remaining_wires)
         fused = dense_circuit_oracle([(op.matrix, op.targets) for op in circuit_ops(arch, params)], n)
         unfused = dense_circuit_oracle([(op.matrix, op.targets) for op in per_gate], n)
@@ -259,7 +261,7 @@ def _check_round_trips():
         write_pgm(path, img)
         assert np.array_equal(load_pgm(path), img)
         quantized = np.rint(rng.random((8, 8)) * 16) / 16.0
-        ds = Dataset(quantized[None], np.array([3]), tuple(str(i) for i in range(10)))
+        ds = Dataset(quantized[None], np.array([3]))
         csv_path = os.path.join(d, "x.csv")
         write_digits_csv(csv_path, ds)
         again = load_digits_csv(csv_path)

@@ -39,7 +39,6 @@ from .training import ShapeMismatch, TrainConfig, fit
 class CnnModel:
     """All weights of one network; immutable, updates build a new instance."""
 
-    input_hw: tuple[int, int]
     kernels: tuple[np.ndarray, ...]       # each (k, k, c_in, c_out)
     conv_biases: tuple[np.ndarray, ...]   # each (c_out,)
     dense_w: np.ndarray                   # (flat_dim, 2)
@@ -66,8 +65,7 @@ class CnnModel:
             out.append(flat[pos : pos + a.size].reshape(a.shape))
             pos += a.size
         n_conv = len(self.kernels)
-        return CnnModel(self.input_hw, tuple(out[:n_conv]),
-                        tuple(out[n_conv : 2 * n_conv]), out[-2], out[-1])
+        return CnnModel(tuple(out[:n_conv]), tuple(out[n_conv : 2 * n_conv]), out[-2], out[-1])
 
 
 def conv_specs_for(h: int, w: int) -> tuple[tuple[int, int], ...]:
@@ -77,17 +75,15 @@ def conv_specs_for(h: int, w: int) -> tuple[tuple[int, int], ...]:
     return ((8, 3), (16, 3))
 
 
-def build_cnn(input_hw: tuple[int, int], seed: int,
-              conv_specs: tuple[tuple[int, int], ...] | None = None) -> CnnModel:
+def build_cnn(input_hw: tuple[int, int], seed: int) -> CnnModel:
     """Seeded init: every weight uniform in +-1/sqrt(fan_in)."""
     h, w = input_hw
     if h < 2 or w < 2:
         raise ShapeMismatch(f"input {h}x{w} too small to pool")
-    specs = conv_specs_for(h, w) if conv_specs is None else conv_specs
     rng = np.random.default_rng(seed)
 
     kernels, biases, c_in = [], [], 1
-    for filters, k in specs:
+    for filters, k in conv_specs_for(h, w):
         bound = 1.0 / np.sqrt(k * k * c_in)
         kernels.append(rng.uniform(-bound, bound, (k, k, c_in, filters)))
         biases.append(rng.uniform(-bound, bound, filters))
@@ -100,7 +96,7 @@ def build_cnn(input_hw: tuple[int, int], seed: int,
     bound = 1.0 / np.sqrt(flat_dim)
     dense_w = rng.uniform(-bound, bound, (flat_dim, 2))
     dense_b = rng.uniform(-bound, bound, 2)
-    return CnnModel(tuple(input_hw), tuple(kernels), tuple(biases), dense_w, dense_b)
+    return CnnModel(tuple(kernels), tuple(biases), dense_w, dense_b)
 
 
 # ---------------------------------------------------------------------------

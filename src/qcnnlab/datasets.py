@@ -65,7 +65,6 @@ class Dataset:
 
     images: np.ndarray
     labels: np.ndarray
-    class_names: tuple[str, ...]
 
     def __post_init__(self):
         if self.images.ndim != 3:
@@ -110,8 +109,7 @@ def load_digits_csv(path: str | os.PathLike) -> Dataset:
                     f"{path}:{lineno}: pixel value {bad[0]} outside 0..{DIGITS_MAX}")
             raw.extend(values)
     rows = np.frombuffer(raw, dtype=np.uint8).reshape(-1, DIGITS_FIELDS)
-    return Dataset((rows[:, 1:] / DIGITS_MAX).reshape(-1, 8, 8), rows[:, 0].astype(np.int64),
-                   tuple(str(d) for d in range(10)))
+    return Dataset((rows[:, 1:] / DIGITS_MAX).reshape(-1, 8, 8), rows[:, 0].astype(np.int64))
 
 
 def write_digits_csv(path: str | os.PathLike, ds: Dataset) -> None:
@@ -158,9 +156,7 @@ def load_idx(images_path: str | os.PathLike, labels_path: str | os.PathLike) -> 
     if int(count) != int(n_labels):
         raise CountMismatch(f"{count} images vs {n_labels} labels")
 
-    n_classes = int(labels.max()) + 1 if len(labels) else 0
-    return Dataset(images.astype(np.float64) / 255.0, labels.astype(np.int64),
-                   tuple(str(c) for c in range(n_classes)))
+    return Dataset(images.astype(np.float64) / 255.0, labels.astype(np.int64))
 
 
 # ---------------------------------------------------------------------------
@@ -242,8 +238,7 @@ def load_pgm_dir(directory: str | os.PathLike, class_map: dict[str, int]) -> Dat
                 "must have one size")
         images.append(img)
         labels.append(class_map[max(prefixes, key=len)])
-    names_by_id = sorted(class_map, key=class_map.get)
-    return Dataset(np.stack(images), np.array(labels, dtype=np.int64), tuple(names_by_id))
+    return Dataset(np.stack(images), np.array(labels, dtype=np.int64))
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +281,5 @@ def binary_subset(ds: Dataset, class_a: int, class_b: int, n_per_class: int,
         picked.append(idx[rng.permutation(len(idx))[:need]])
     train = np.concatenate([p[:n_per_class] for p in picked])
     test = np.concatenate([p[n_per_class:] for p in picked])
-    names = (ds.class_names[class_a] if class_a < len(ds.class_names) else str(class_a),
-             ds.class_names[class_b] if class_b < len(ds.class_names) else str(class_b))
-    return (Dataset(ds.images[train], np.repeat([0, 1], n_per_class), names),
-            Dataset(ds.images[test], np.repeat([0, 1], n_half), names))
+    return (Dataset(ds.images[train], np.repeat([0, 1], n_per_class)),
+            Dataset(ds.images[test], np.repeat([0, 1], n_half)))

@@ -66,8 +66,12 @@ class ExperimentConfig:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.class_a in self.class_b:
             raise ConfigError(f"class_a {self.class_a} also appears in class_b {self.class_b}")
-        if self.n_test % 2:
-            raise ConfigError(f"n_test {self.n_test} must be even for a balanced test set")
+        if self.n_test < 2 or self.n_test % 2:
+            raise ConfigError(f"n_test {self.n_test} must be even and >= 2 for a balanced test set")
+        if min(self.n_per_class) < 1:
+            raise ConfigError(f"every n_per_class must be >= 1, got {self.n_per_class}")
+        if self.base_seed < 0:
+            raise ConfigError(f"base_seed must be >= 0, got {self.base_seed}")
         if not self.lr0 >= 0:
             raise ConfigError(f"lr0 must be >= 0, got {self.lr0}")
         if not 0 <= self.lr_decay < 1:
@@ -190,7 +194,7 @@ def load_pool(cfg: ExperimentConfig) -> Dataset:
         if h % cfg.resize or w % cfg.resize:
             raise ConfigError(f"resize {cfg.resize} does not divide the {h}x{w} image size, "
                               f"so block averaging cannot reach {cfg.resize}x{cfg.resize}")
-        ds = Dataset(resize_area(ds.images, cfg.resize, cfg.resize), ds.labels, ds.class_names)
+        ds = Dataset(resize_area(ds.images, cfg.resize, cfg.resize), ds.labels)
     return ds
 
 

@@ -164,9 +164,9 @@ def conv_block_ops(weights15, wires, first_depth: bool) -> list[GateOp]:
     return ops
 
 
-def pool_block_ops(weights3, wires) -> tuple[list[GateOp], tuple[int, ...]]:
+def pool_block_ops(weights3, wires) -> list[GateOp]:
     """Pooling over ``wires``: condition each odd-position wire's left
-    neighbour on it, keep the even-position wires.
+    neighbour on it (:func:`build_architecture` keeps the even-position wires).
 
     The controlled gate realizes measure-then-conditionally-rotate exactly;
     the control wire is simply never addressed by any later layer.
@@ -176,8 +176,7 @@ def pool_block_ops(weights3, wires) -> tuple[list[GateOp], tuple[int, ...]]:
         raise WeightLengthMismatch(f"pooling takes {POOL_WEIGHTS} weights, got {len(w)}")
     if len(wires) < 2:
         raise QcnnError("pooling needs at least 2 wires")
-    ops = [GateOp(controlled(u3_matrix(*w)), (wires[j], wires[j - 1])) for j in range(1, len(wires), 2)]
-    return ops, tuple(wires[0::2])
+    return [GateOp(controlled(u3_matrix(*w)), (wires[j], wires[j - 1])) for j in range(1, len(wires), 2)]
 
 
 def pauli_word(index: int, r: int) -> str:

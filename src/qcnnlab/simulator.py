@@ -51,20 +51,11 @@ class TooManyQubits(SimulatorError):
     pass
 
 
-# Fixed gates.  CNOT applies X on the target (second wire listed) when the
-# control (first wire listed) is |1>.
+# Pauli matrices
 I2 = np.eye(2, dtype=np.complex128)
 X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
 Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
-H = np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2)
-CNOT = np.array(
-    [[1, 0, 0, 0],
-     [0, 1, 0, 0],
-     [0, 0, 0, 1],
-     [0, 0, 1, 0]],
-    dtype=np.complex128,
-)
 
 PAULIS = {"I": I2, "X": X, "Y": Y, "Z": Z}
 
@@ -218,29 +209,20 @@ def readout_prob_one(state: np.ndarray, qubit: int) -> float:
 def expand_gate(g: np.ndarray, targets, n_qubits: int) -> np.ndarray:
     """Kronecker-expand ``g`` to the full 2**n x 2**n register matrix.
 
-    Builds kron(g, I) on a register reordered as (targets..., rest...) and
-    permutes basis indices back to the qubit-0-least-significant convention.
+    Builds kron(g, I) on a register ordered as (targets..., rest...), views
+    it as one axis per row bit and per column bit, and moves qubit q to axis
+    n-1-q of each half: the qubit-0-least-significant convention.
     """
     targets = tuple([int(t) for t in targets])
     _check_targets(n_qubits, targets)
     k = len(targets)
     if g.shape != (2**k, 2**k):
         raise DimensionMismatch(f"gate shape {g.shape} does not match {k} target(s)")
-    rest = [q for q in range(n_qubits) if q not in targets]
-    big = np.kron(g, np.eye(2 ** len(rest), dtype=np.complex128))
-    # big's index = (gate bits, rest bits); map each to the original index.
-    to_original = np.empty(2**n_qubits, dtype=np.int64)
-    for gi in range(2**k):
-        gpart = 0
-        for j, t in enumerate(targets):
-            gpart |= ((gi >> (k - 1 - j)) & 1) << t
-        for si in range(2 ** len(rest)):
-            spart = 0
-            for j, q in enumerate(rest):
-                spart |= ((si >> (len(rest) - 1 - j)) & 1) << q
-            to_original[(gi << len(rest)) | si] = gpart | spart
-    perm = np.argsort(to_original)  # original index -> big index
-    return big[np.ix_(perm, perm)]
+    order = [*targets, *(q for q in range(n_qubits) if q not in targets)]
+    big = np.kron(g, np.eye(2 ** (n_qubits - k), dtype=np.complex128))
+    axes = [order.index(q) for q in range(n_qubits - 1, -1, -1)]
+    return (big.reshape((2,) * 2 * n_qubits).transpose(axes + [n_qubits + a for a in axes])
+            .reshape(2**n_qubits, 2**n_qubits))
 
 
 def dense_circuit_oracle(gates, n_qubits: int) -> np.ndarray:

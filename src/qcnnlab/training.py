@@ -195,8 +195,10 @@ def grad_exact(arch: Architecture, params, images, labels) -> np.ndarray:
 # optimizer and epoch loop
 # ---------------------------------------------------------------------------
 
-def adam_step(params, grads, moments, t: int, lr: float,
-              beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
+def adam_step(params, grads, moments, t: int, lr: float):
     """One bias-corrected Adam update; moments=None starts from zeros."""
     params = np.asarray(params, dtype=np.float64)
     grads = np.asarray(grads, dtype=np.float64)
@@ -211,11 +213,11 @@ def adam_step(params, grads, moments, t: int, lr: float,
         m, v = moments
         if m.shape != params.shape or v.shape != params.shape:
             raise ShapeMismatch("moment shapes do not match params")
-    m = beta1 * m + (1.0 - beta1) * grads
-    v = beta2 * v + (1.0 - beta2) * grads**2
-    m_hat = m / (1.0 - beta1**t)
-    v_hat = v / (1.0 - beta2**t)
-    return params - lr * m_hat / (np.sqrt(v_hat) + eps), (m, v)
+    m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * grads
+    v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * grads**2
+    m_hat = m / (1.0 - ADAM_BETA1**t)
+    v_hat = v / (1.0 - ADAM_BETA2**t)
+    return params - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS), (m, v)
 
 
 def init_params(arch: Architecture, seed: int) -> np.ndarray:

@@ -470,7 +470,7 @@ def _toy_sets(rng, n_train=8, n_test=4, hw=(8, 8)):
 
     def dataset(n):
         labels = np.arange(n) % 2
-        return Dataset(np.stack([sample(label) for label in labels]), labels, ("a", "b"))
+        return Dataset(np.stack([sample(label) for label in labels]), labels)
 
     return dataset(n_train), dataset(n_test)
 
@@ -563,7 +563,7 @@ def test_train_cnn_on_digits_equals_the_reference_layers_exactly(scale, monkeypa
     train, test = binary_subset(digits, 0, 1, 20, 10, seed=4)
     if scale > 1:
         up = np.ones((scale, scale))
-        train, test = (Dataset(np.kron(d.images, up), d.labels, d.class_names) for d in (train, test))
+        train, test = (Dataset(np.kron(d.images, up), d.labels) for d in (train, test))
     model = build_cnn(train.images.shape[1:], seed=5)
     cfg = TrainConfig(epochs=5, seed=6)
     rows, trained = train_cnn(model, train, test, cfg)

@@ -36,9 +36,9 @@ DIGITS_CSV = os.path.join(os.path.dirname(__file__), "..", "data", "digits.csv")
 
 def test_dataset_rejects_unstacked_images_and_mismatched_lengths():
     with pytest.raises(DatasetError, match=r"\(N, H, W\) array, got shape \(3, 64\)"):
-        Dataset(np.zeros((3, 64)), np.zeros(3, dtype=np.int64), ("a", "b"))
+        Dataset(np.zeros((3, 64)), np.zeros(3, dtype=np.int64))
     with pytest.raises(DatasetError, match="3 images vs 2 labels"):
-        Dataset(np.zeros((3, 8, 8)), np.zeros(2, dtype=np.int64), ("a", "b"))
+        Dataset(np.zeros((3, 8, 8)), np.zeros(2, dtype=np.int64))
 
 
 # ---------------------------------------------------------------------------
@@ -114,7 +114,7 @@ def test_bundled_digits_file_loads():
 
 def test_digits_csv_round_trip(tmp_path):
     ds = load_digits_csv(DIGITS_CSV)
-    subset = Dataset(ds.images[:20], ds.labels[:20], ds.class_names)
+    subset = Dataset(ds.images[:20], ds.labels[:20])
     out = tmp_path / "echo.csv"
     write_digits_csv(out, subset)
     again = load_digits_csv(out)
@@ -245,7 +245,6 @@ def test_pgm_dir_classes_from_prefix(tmp_path):
     ds = load_pgm_dir(tmp_path, {"cat": 0, "dog": 1})
     assert len(ds) == 3
     assert ds.labels.tolist() == [0, 0, 1]  # sorted filename order
-    assert ds.class_names == ("cat", "dog")
 
 
 def test_pgm_dir_unknown_prefix(tmp_path):

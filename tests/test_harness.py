@@ -412,6 +412,19 @@ def test_cli_odd_n_test_is_config_error(tmp_path, capsys):
     assert "n_test 7" in _rejected_up_front(tmp_path, capsys, "--n-test", "7")
 
 
+@pytest.mark.parametrize("flags, message", [
+    (("--base-seed", "-1"), "base_seed must be >= 0, got -1"),
+    (("--n-per-class", "0"), "every n_per_class must be >= 1, got (0,)"),
+    (("--n-per-class", "3,-3"), "every n_per_class must be >= 1, got (3, -3)"),
+    (("--n-test", "0"), "n_test 0 must be even and >= 2"),
+])
+def test_cli_setting_that_cannot_train_is_config_error_before_loading(tmp_path, capsys,
+                                                                       flags, message):
+    # a data path that does not exist: loading it first would be a data error (exit 2)
+    err = _rejected_up_front(tmp_path, capsys, *flags, "--data-path", str(tmp_path / "absent.csv"))
+    assert f"config error: {message}" in err
+
+
 def test_cli_negative_lr0_is_config_error(tmp_path, capsys):
     assert "lr0 must be >= 0" in _rejected_up_front(tmp_path, capsys, "--lr0", "-1")
 
@@ -514,6 +527,15 @@ def test_cli_augment_preview_bad_index_is_data_error(tmp_path):
     code = main(["augment-preview", "--data-path", DIGITS, "--index", "99999",
                  "--out", str(tmp_path / "o")])
     assert code == 2
+
+
+@pytest.mark.parametrize("flag", ["--count", "--seed"])
+def test_cli_augment_preview_negative_count_or_seed_is_usage_error(tmp_path, capsys, flag):
+    out = tmp_path / "prev"
+    code = main(["augment-preview", "--data-path", DIGITS, flag, "-2", "--out", str(out)])
+    assert code == 1
+    assert f"augment-preview: {flag} must be >= 0, got -2" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_python_m_qcnnlab_runs_selftest():

@@ -143,14 +143,8 @@ def test_conv_pair_order_within_subround_is_immaterial():
 
 def test_pool_zero_weights_is_identity():
     state = random_state(4)
-    ops, survivors = qcnn.pool_block_ops(np.zeros(3), (0, 1, 2, 3))
+    ops = qcnn.pool_block_ops(np.zeros(3), (0, 1, 2, 3))
     np.testing.assert_allclose(apply_ops(state, ops), state, atol=1e-12)
-    assert survivors == (0, 2)
-
-
-def test_pool_survivors_are_even_positions():
-    _, survivors = qcnn.pool_block_ops(np.zeros(3), (0, 2, 3))
-    assert survivors == (0, 3)
 
 
 def test_pool_inactive_when_control_is_zero():
@@ -159,7 +153,7 @@ def test_pool_inactive_when_control_is_zero():
     target = random_state(1)
     state = np.zeros(4, dtype=complex)
     state[0:2] = target
-    ops, _ = qcnn.pool_block_ops(w, (0, 1))
+    ops = qcnn.pool_block_ops(w, (0, 1))
     np.testing.assert_allclose(apply_ops(state, ops), state, atol=1e-12)
 
 
@@ -169,7 +163,7 @@ def test_pool_superposed_control_matches_branch_oracle():
     for _ in range(10):
         w = RNG.uniform(-np.pi, np.pi, 3)
         state = random_state(2)
-        ops, _ = qcnn.pool_block_ops(w, (0, 1))
+        ops = qcnn.pool_block_ops(w, (0, 1))
         pooled = apply_ops(state, ops)
         got = sim.readout_prob_one(pooled, 0)
 
@@ -233,7 +227,7 @@ def per_gate_ops(arch, params):
     ops = []
     for d, wires in enumerate(arch.active_wires):
         ops += qcnn.conv_block_ops(blocks[d][0], wires, first_depth=(d == 0))
-        ops += qcnn.pool_block_ops(blocks[d][1], wires)[0]
+        ops += qcnn.pool_block_ops(blocks[d][1], wires)
     return ops + qcnn.flatten_block_ops(flat_w, arch.remaining_wires)
 
 

@@ -8,6 +8,17 @@ from qcnnlab import simulator as sim
 
 RNG = np.random.default_rng(20240811)
 
+# CNOT applies X on the target (second wire listed) when the control (first
+# wire listed) is |1>.
+H = np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2)
+CNOT = np.array(
+    [[1, 0, 0, 0],
+     [0, 1, 0, 0],
+     [0, 0, 0, 1],
+     [0, 0, 1, 0]],
+    dtype=np.complex128,
+)
+
 
 def random_state(n, rng=RNG):
     amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
@@ -86,7 +97,7 @@ def test_ising_rejects_unknown_kind():
 
 
 def test_controlled_x_is_cnot():
-    np.testing.assert_allclose(sim.controlled(sim.X), sim.CNOT, atol=1e-15)
+    np.testing.assert_allclose(sim.controlled(sim.X), CNOT, atol=1e-15)
 
 
 def test_controlled_identity_is_identity():
@@ -143,9 +154,9 @@ def test_apply_gate_errors():
     with pytest.raises(sim.TargetOutOfRange):
         sim.apply_gate(state, sim.X, (3,))
     with pytest.raises(sim.DuplicateTarget):
-        sim.apply_gate(state, sim.CNOT, (1, 1))
+        sim.apply_gate(state, CNOT, (1, 1))
     with pytest.raises(sim.DimensionMismatch):
-        sim.apply_gate(state, sim.CNOT, (1,))
+        sim.apply_gate(state, CNOT, (1,))
 
 
 def test_apply_gate_on_columns_matches_each_column_and_dense_oracle():
@@ -171,9 +182,9 @@ def test_apply_gate_on_columns_errors_match_single_state():
         with pytest.raises(sim.TargetOutOfRange):
             sim.apply_gate(state, sim.X, (-1,))
         with pytest.raises(sim.DuplicateTarget):
-            sim.apply_gate(state, sim.CNOT, (1, 1))
+            sim.apply_gate(state, CNOT, (1, 1))
         with pytest.raises(sim.DimensionMismatch):
-            sim.apply_gate(state, sim.CNOT, (1,))
+            sim.apply_gate(state, CNOT, (1,))
         with pytest.raises(sim.DimensionMismatch):
             sim.apply_gate(state, np.eye(3, dtype=complex), (0,))
     with pytest.raises(sim.DimensionMismatch):
@@ -236,7 +247,7 @@ def test_apply_two_qubit_matches_dense_matrix():
 def test_cnot_application_convention():
     # apply CNOT with control qubit 1, target qubit 0: |10> -> |11>
     state = np.zeros(4, dtype=complex); state[2] = 1
-    out = sim.apply_gate(state, sim.CNOT, (1, 0))
+    out = sim.apply_gate(state, CNOT, (1, 0))
     np.testing.assert_allclose(out, [0, 0, 0, 1], atol=1e-15)
 
 
@@ -251,7 +262,7 @@ def test_readout_all_zero_state():
 
 
 def test_readout_plus_state():
-    state = sim.apply_gate(sim.zero_state(1), sim.H, (0,))
+    state = sim.apply_gate(sim.zero_state(1), H, (0,))
     assert abs(sim.readout_prob_one(state, 0) - 0.5) < 1e-12
 
 
@@ -273,6 +284,39 @@ def test_readout_rejects_bad_qubit():
 # ---------------------------------------------------------------------------
 # dense oracle
 # ---------------------------------------------------------------------------
+
+def expand_gate_by_index_loop(g, targets, n_qubits):
+    """expand_gate's earlier form: kron(g, I) on (targets..., rest...), with
+    every basis index mapped back to the qubit-0-least-significant order."""
+    k = len(targets)
+    rest = [q for q in range(n_qubits) if q not in targets]
+    big = np.kron(g, np.eye(2 ** len(rest), dtype=np.complex128))
+    to_original = np.empty(2**n_qubits, dtype=np.int64)
+    for gi in range(2**k):
+        gpart = 0
+        for j, t in enumerate(targets):
+            gpart |= ((gi >> (k - 1 - j)) & 1) << t
+        for si in range(2 ** len(rest)):
+            spart = 0
+            for j, q in enumerate(rest):
+                spart |= ((si >> (len(rest) - 1 - j)) & 1) << q
+            to_original[(gi << len(rest)) | si] = gpart | spart
+    perm = np.argsort(to_original)  # original index -> big index
+    return big[np.ix_(perm, perm)]
+
+
+def test_expand_gate_is_bitwise_the_index_loop():
+    rng = np.random.default_rng(11)
+    for n in range(1, 8):
+        for _ in range(20):
+            k = int(rng.integers(1, min(3, n) + 1))
+            targets = tuple(int(q) for q in rng.permutation(n)[:k])
+            g = rng.normal(size=(2**k, 2**k)) + 1j * rng.normal(size=(2**k, 2**k))
+            got = sim.expand_gate(g, targets, n)
+            want = expand_gate_by_index_loop(g, targets, n)
+            assert got.shape == want.shape and got.flags.c_contiguous
+            assert got.tobytes() == want.tobytes(), (n, targets)
+
 
 def test_oracle_single_x_on_qubit0_is_kron_i_x():
     got = sim.dense_circuit_oracle([(sim.X, (0,))], 2)

@@ -51,7 +51,7 @@ def _toy_sets(rng, n_train=6, n_test=4):
 
     def dataset(n):
         labels = np.arange(n) % 2
-        return Dataset(np.stack([sample(label) for label in labels]), labels, ("a", "b"))
+        return Dataset(np.stack([sample(label) for label in labels]), labels)
 
     return dataset(n_train), dataset(n_test)
 
@@ -302,7 +302,7 @@ def test_training_reduces_loss_on_separable_toy_data():
 def test_training_rejects_nonbinary_labels():
     rng = np.random.default_rng(13)
     train, test = _toy_sets(rng)
-    bad = Dataset(train.images, train.labels + 1, train.class_names)
+    bad = Dataset(train.images, train.labels + 1)
     arch = build_architecture(6, 1)
     with pytest.raises(NonBinaryLabels):
         train_qcnn(arch, bad, test, TrainConfig(epochs=1, seed=0))
