@@ -121,20 +121,19 @@ def _one(img) -> np.ndarray:
     return np.asarray(img, dtype=np.float64)[None]
 
 
-def rotate(img: np.ndarray, angle: float, max_angle: float = DEFAULT_MAX_ROTATION) -> np.ndarray:
+def rotate(img: np.ndarray, angle: float) -> np.ndarray:
     """Rotate about the image center with bilinear interpolation.
 
     Samples falling outside the frame read as 0; output is clamped to [0, 1].
     """
-    if abs(angle) > max_angle + 1e-12:
-        raise AngleOutOfBounds(f"|{angle}| exceeds the {max_angle} radian bound")
+    if abs(angle) > DEFAULT_MAX_ROTATION + 1e-12:
+        raise AngleOutOfBounds(f"|{angle}| exceeds the {DEFAULT_MAX_ROTATION} radian bound")
     return _transform(_one(img), angles=np.array([angle], dtype=np.float64))[0]
 
 
-def contrast(img: np.ndarray, factor: float,
-             factor_range: tuple[float, float] = DEFAULT_CONTRAST_RANGE) -> np.ndarray:
+def contrast(img: np.ndarray, factor: float) -> np.ndarray:
     """Scale deviations from the image mean by ``factor``, clamped to [0, 1]."""
-    lo, hi = factor_range
+    lo, hi = DEFAULT_CONTRAST_RANGE
     if not lo <= factor <= hi:
         raise FactorOutOfBounds(f"factor {factor} outside [{lo}, {hi}]")
     return _transform(_one(img), factors=np.array([factor], dtype=np.float64))[0]

@@ -12,6 +12,7 @@ import argparse
 import os
 import sys
 import tempfile
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -111,7 +112,7 @@ def _cmd_augment_preview(args) -> int:
     pool = load_pool(cfg)
     if not 0 <= args.index < len(pool):
         raise DatasetError(f"index {args.index} outside dataset of {len(pool)} samples")
-    image, label = pool.images[args.index], pool.labels[args.index]
+    image, label = pool.pixels(args.index), pool.labels[args.index]
     try:
         aug_cfg = preset(args.preset if args.preset else cfg.dataset)
     except AugmentError as exc:
@@ -265,7 +266,15 @@ def _check_round_trips():
         csv_path = os.path.join(d, "x.csv")
         write_digits_csv(csv_path, ds)
         again = load_digits_csv(csv_path)
-        assert np.array_equal(again.images, ds.images)
+        assert np.array_equal(again.pixels(slice(None)), ds.images)
+
+
+def _check_digits_parse():
+    # load_digits_csv's array pass needs loadtxt to refuse, not wrap to 16, out-of-range uint8
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # as load_digits_csv sets it
+        for field in ("272", "-240"):
+            np.testing.assert_raises((ValueError, Warning), np.loadtxt, [field], dtype=np.uint8)
 
 
 _SELFTEST_CHECKS = (
@@ -280,6 +289,7 @@ _SELFTEST_CHECKS = (
     ("batched augmentation matches per-image draws", _check_batched_augment),
     ("optimizer", _check_optimizer),
     ("file round trips", _check_round_trips),
+    ("digits array parse matches the per-line parser", _check_digits_parse),
 )
 
 

@@ -4,15 +4,17 @@ Three sources are supported: 8x8 hand-written digits re-hosted as a plain
 CSV (one row per image: label then 64 integers 0..16), Fashion-MNIST in its
 native big-endian IDX container, and grayscale photos as binary PGM ("P5")
 files whose class is taken from the filename prefix.  Every loader returns
-one :class:`Dataset`: all images as one (N, H, W) float64 array with pixels
-in [0, 1], all labels as one (N,) int64 array, so every image of a dataset
-has the same size.  Loaders refuse malformed records rather than skipping
-them.
+one :class:`Dataset`: all images as one (N, H, W) uint8 array of the file's
+levels and the ``scale`` that divides them to [0, 1] (only done here, by
+:meth:`Dataset.pixels`), all labels as one (N,) int64 array, so every image
+of a dataset has the same size.  Loaders refuse malformed records.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,11 +62,12 @@ class MixedImageSizes(DatasetError):
 
 @dataclass(frozen=True)
 class Dataset:
-    """Grayscale images as one (N, H, W) float64 array in [0, 1]; labels[i]
-    is the integer class id of images[i]."""
+    """Grayscale images as one (N, H, W) array whose pixel values are ``images /
+    scale`` (:meth:`pixels`); labels[i] is the integer class id of images[i]."""
 
     images: np.ndarray
     labels: np.ndarray
+    scale: int = 1
 
     def __post_init__(self):
         if self.images.ndim != 3:
@@ -74,6 +77,10 @@ class Dataset:
 
     def __len__(self) -> int:
         return len(self.labels)
+
+    def pixels(self, index) -> np.ndarray:
+        """images[index] as float64 pixel values in [0, 1]."""
+        return self.images[index] / self.scale
 
 
 # ---------------------------------------------------------------------------
@@ -86,6 +93,16 @@ DIGITS_MAX = 16
 
 def load_digits_csv(path: str | os.PathLike) -> Dataset:
     """Read 8x8 digit images: rows of `label,p0,...,p63` with pixels 0..16."""
+    # an open file, as numpy imports gzip to open a path; a refusal or warning goes line by line
+    with contextlib.suppress(ValueError, Warning), open(path, "rb") as fh, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = np.loadtxt(fh, delimiter=",", dtype=np.uint8, comments=None, ndmin=2)
+        if rows.shape[1] == DIGITS_FIELDS and rows[:, 0].max() <= 9 and rows[:, 1:].max() <= DIGITS_MAX:
+            return Dataset(rows[:, 1:].reshape(-1, 8, 8), rows[:, 0].astype(np.int64), DIGITS_MAX)
+    return _parse_digits_rows(path)
+
+
+def _parse_digits_rows(path) -> Dataset:
     raw = bytearray()  # every checked field fits in a byte
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -109,13 +126,13 @@ def load_digits_csv(path: str | os.PathLike) -> Dataset:
                     f"{path}:{lineno}: pixel value {bad[0]} outside 0..{DIGITS_MAX}")
             raw.extend(values)
     rows = np.frombuffer(raw, dtype=np.uint8).reshape(-1, DIGITS_FIELDS)
-    return Dataset((rows[:, 1:] / DIGITS_MAX).reshape(-1, 8, 8), rows[:, 0].astype(np.int64))
+    return Dataset(rows[:, 1:].reshape(-1, 8, 8), rows[:, 0].astype(np.int64), DIGITS_MAX)
 
 
 def write_digits_csv(path: str | os.PathLike, ds: Dataset) -> None:
     """Inverse of load_digits_csv: quantizes pixels back to integers 0..16."""
     with open(path, "w", encoding="utf-8") as fh:
-        for img, label in zip(ds.images, ds.labels):
+        for img, label in zip(ds.pixels(slice(None)), ds.labels):
             ints = np.rint(img * DIGITS_MAX).astype(int).reshape(-1)
             fh.write(",".join([str(int(label))] + [str(v) for v in ints]) + "\n")
 
@@ -156,7 +173,7 @@ def load_idx(images_path: str | os.PathLike, labels_path: str | os.PathLike) -> 
     if int(count) != int(n_labels):
         raise CountMismatch(f"{count} images vs {n_labels} labels")
 
-    return Dataset(images.astype(np.float64) / 255.0, labels.astype(np.int64))
+    return Dataset(images, labels.astype(np.int64), 255)
 
 
 # ---------------------------------------------------------------------------
@@ -195,8 +212,8 @@ def _parse_pgm_header(data: bytes, path) -> tuple[int, int, int]:
     return width, height, pos
 
 
-def load_pgm(path: str | os.PathLike) -> np.ndarray:
-    """Read one binary PGM into an H x W float array in [0, 1]."""
+def _pgm_levels(path) -> np.ndarray:
+    """Read one binary PGM's H x W uint8 raster."""
     with open(path, "rb") as fh:
         data = fh.read()
     width, height, offset = _parse_pgm_header(data, path)
@@ -204,7 +221,12 @@ def load_pgm(path: str | os.PathLike) -> np.ndarray:
     raster = data[offset : offset + need]
     if len(raster) != need:
         raise TruncatedFile(f"{path}: wanted {need} raster bytes, got {len(raster)}")
-    return np.frombuffer(raster, dtype=np.uint8).reshape(height, width).astype(np.float64) / 255.0
+    return np.frombuffer(raster, dtype=np.uint8).reshape(height, width)
+
+
+def load_pgm(path: str | os.PathLike) -> np.ndarray:
+    """Read one binary PGM into an H x W float array in [0, 1]."""
+    return _pgm_levels(path) / 255.0
 
 
 def write_pgm(path: str | os.PathLike, img: np.ndarray) -> None:
@@ -224,21 +246,23 @@ def load_pgm_dir(directory: str | os.PathLike, class_map: dict[str, int]) -> Dat
     names = sorted(f for f in os.listdir(directory) if f.lower().endswith(".pgm"))
     if not names:
         raise DatasetError(f"{directory}: no .pgm files found")
-    images, labels = [], []
-    for name in names:
+    images, labels = None, []
+    for k, name in enumerate(names):
         prefixes = [p for p in class_map if name.startswith(p)]
         if not prefixes:
             raise UnknownClassPrefix(
                 f"{name}: no prefix from {sorted(class_map)} matches")
-        img = load_pgm(os.path.join(directory, name))
-        if images and img.shape != images[0].shape:
+        img = _pgm_levels(os.path.join(directory, name))
+        if images is None:
+            images = np.empty((len(names),) + img.shape, dtype=np.uint8)
+        elif img.shape != images.shape[1:]:
             raise MixedImageSizes(
                 f"{name} is {img.shape[0]}x{img.shape[1]} but {names[0]} is "
-                f"{images[0].shape[0]}x{images[0].shape[1]}; all images in {directory} "
+                f"{images.shape[1]}x{images.shape[2]}; all images in {directory} "
                 "must have one size")
-        images.append(img)
+        images[k] = img
         labels.append(class_map[max(prefixes, key=len)])
-    return Dataset(np.stack(images), np.array(labels, dtype=np.int64))
+    return Dataset(images, np.array(labels, dtype=np.int64), 255)
 
 
 # ---------------------------------------------------------------------------
@@ -258,12 +282,18 @@ def resize_area(images: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     return images.reshape(images.shape[:-2] + (out_h, fh, out_w, fw)).mean(axis=(-3, -1))
 
 
+def resize_pool(ds: Dataset, size: int) -> Dataset:
+    """Every image's pixel values through ``resize_area``, 256 at a time (not a whole float64 pool)."""
+    return Dataset(np.concatenate([resize_area(ds.pixels(slice(i, i + 256)), size, size)
+                                   for i in range(0, max(len(ds), 1), 256)]), ds.labels)
+
+
 def binary_subset(ds: Dataset, class_a: int, class_b: int, n_per_class: int,
                   n_test: int, seed: int) -> tuple[Dataset, Dataset]:
     """Draw a balanced two-class train/test split with labels remapped a->0, b->1.
 
     Sampling is without replacement from a seeded shuffle, so the same seed
-    selects the same images and train/test never overlap.
+    selects the same images and train/test never overlap; both hold float64 pixel values.
     """
     if n_test % 2:
         raise DatasetError(f"n_test {n_test} must be even for a balanced test set")
@@ -281,5 +311,5 @@ def binary_subset(ds: Dataset, class_a: int, class_b: int, n_per_class: int,
         picked.append(idx[rng.permutation(len(idx))[:need]])
     train = np.concatenate([p[:n_per_class] for p in picked])
     test = np.concatenate([p[n_per_class:] for p in picked])
-    return (Dataset(ds.images[train], np.repeat([0, 1], n_per_class)),
-            Dataset(ds.images[test], np.repeat([0, 1], n_half)))
+    return (Dataset(ds.pixels(train), np.repeat([0, 1], n_per_class)),
+            Dataset(ds.pixels(test), np.repeat([0, 1], n_half)))

@@ -22,7 +22,7 @@ import numpy as np
 
 from .augment import AugmentError, preset
 from .cnn import build_cnn, train_cnn
-from .datasets import Dataset, binary_subset, load_digits_csv, load_idx, load_pgm_dir, resize_area
+from .datasets import Dataset, binary_subset, load_digits_csv, load_idx, load_pgm_dir, resize_pool
 from .qcnn import QcnnError, build_architecture
 from .training import MetricsRow, TrainConfig, format_metrics, mean_metrics, train_qcnn
 
@@ -194,7 +194,7 @@ def load_pool(cfg: ExperimentConfig) -> Dataset:
         if h % cfg.resize or w % cfg.resize:
             raise ConfigError(f"resize {cfg.resize} does not divide the {h}x{w} image size, "
                               f"so block averaging cannot reach {cfg.resize}x{cfg.resize}")
-        ds = Dataset(resize_area(ds.images, cfg.resize, cfg.resize), ds.labels)
+        ds = resize_pool(ds, cfg.resize)
     return ds
 
 

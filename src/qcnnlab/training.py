@@ -259,8 +259,10 @@ def fit(params, train_set, test_set, cfg: TrainConfig, augment_cfg: AugmentConfi
     images every epoch in one :func:`augment_batch` pass over a stream
     seeded by [seed, 1]; the scores' cache is then dropped, and the
     gradient forwards the augmented batch.  A step that leaves a
-    non-finite parameter or loss raises TrainingError.
+    non-finite parameter or loss raises TrainingError, as does a set of levels.
     """
+    if train_set.scale != 1 or test_set.scale != 1:
+        raise TrainingError("images must be divided to [0, 1] (scale 1), as binary_subset does")
     np.empty(_HEAP_TRIM_LIFT)  # allocated and freed at once
     labels = (_check_binary(train_set.labels, "train"), _check_binary(test_set.labels, "test"))
     clean = (encode(train_set.images), encode(test_set.images))

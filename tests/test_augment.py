@@ -267,6 +267,6 @@ def test_disabled_batch_returns_input_and_draws_nothing():
 def test_bound_errors_still_fire_on_the_shared_kernel():
     img = np.random.default_rng(13).random((8, 8))
     with pytest.raises(AngleOutOfBounds):
-        rotate(img, 0.2, max_angle=0.1)
+        rotate(img, 0.2)
     with pytest.raises(FactorOutOfBounds):
-        contrast(img, 1.5, factor_range=(0.5, 1.2))
+        contrast(img, 1.5)

@@ -2,10 +2,15 @@
 
 import os
 import struct
+import subprocess
+import sys
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
+from qcnnlab import datasets
 from qcnnlab.datasets import (
     BadMagic,
     CountMismatch,
@@ -13,6 +18,7 @@ from qcnnlab.datasets import (
     DatasetError,
     InsufficientSamples,
     MalformedRow,
+    MixedImageSizes,
     NonIntegerFactor,
     TruncatedFile,
     UnknownClassPrefix,
@@ -23,9 +29,11 @@ from qcnnlab.datasets import (
     load_pgm,
     load_pgm_dir,
     resize_area,
+    resize_pool,
     write_digits_csv,
     write_pgm,
 )
+from qcnnlab.harness import ExperimentConfig, load_pool
 
 DIGITS_CSV = os.path.join(os.path.dirname(__file__), "..", "data", "digits.csv")
 
@@ -57,8 +65,9 @@ def test_digits_row_parses_and_normalizes(tmp_path):
     assert len(ds) == 1
     assert ds.labels[0] == 3
     assert ds.images[0].shape == (8, 8)
-    assert ds.images[0][0, 0] == 1.0
-    assert ds.images[0][0, 1] == 0.0
+    pixels = ds.images[0] / ds.scale
+    assert pixels[0, 0] == 1.0
+    assert pixels[0, 1] == 0.0
 
 
 def test_digits_all_zero_row_loads():
@@ -107,22 +116,133 @@ def test_bundled_digits_file_loads():
     assert len(ds) == 1797
     labels = ds.labels
     assert set(labels.tolist()) == set(range(10))
-    for img in ds.images[:50]:
+    for img in ds.images[:50] / ds.scale:
         assert img.shape == (8, 8)
         assert img.min() >= 0.0 and img.max() <= 1.0
 
 
 def test_digits_csv_round_trip(tmp_path):
     ds = load_digits_csv(DIGITS_CSV)
-    subset = Dataset(ds.images[:20], ds.labels[:20])
+    subset = Dataset(ds.images[:20], ds.labels[:20], ds.scale)
     out = tmp_path / "echo.csv"
     write_digits_csv(out, subset)
     again = load_digits_csv(out)
     assert len(again) == 20
+    assert again.scale == subset.scale
     for a_img, a_label, b_img, b_label in zip(subset.images, subset.labels,
                                               again.images, again.labels):
         assert a_label == b_label
         assert np.array_equal(a_img, b_img)
+
+
+def _reference_digits_csv(path):
+    """The per-line parser the array pass replaced, kept verbatim as the
+    reference: float64 pixels in [0, 1], or MalformedRow with a line number."""
+    raw = bytearray()
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            fields = line.split(",")
+            if len(fields) != 65:
+                raise MalformedRow(f"{path}:{lineno}: expected 65 fields, got {len(fields)}")
+            try:
+                values = [int(f) for f in fields]
+            except ValueError as exc:
+                raise MalformedRow(f"{path}:{lineno}: non-integer field ({exc})") from exc
+            label, pixels = values[0], values[1:]
+            if not 0 <= label <= 9:
+                raise MalformedRow(f"{path}:{lineno}: label {label} outside 0..9")
+            bad = [v for v in pixels if not 0 <= v <= 16]
+            if bad:
+                raise MalformedRow(f"{path}:{lineno}: pixel value {bad[0]} outside 0..16")
+            raw.extend(values)
+    rows = np.frombuffer(raw, dtype=np.uint8).reshape(-1, 65)
+    return Dataset((rows[:, 1:] / 16).reshape(-1, 8, 8), rows[:, 0].astype(np.int64))
+
+
+def _digits_outcome(load, path):
+    try:
+        ds = load(path)
+    except MalformedRow as exc:
+        return "MalformedRow", str(exc)
+    pixels = ds.images / ds.scale
+    return pixels.dtype, pixels.shape, pixels.tobytes(), ds.labels.dtype, ds.labels.tobytes()
+
+
+_ROW = "3," + ",".join(str(v % 17) for v in range(64))
+_ZEROS = ",".join(["0"] * 63)
+
+_DIGITS_EDGE_FILES = {
+    "plain": _ROW + "\n" + _ROW.replace("3,", "7,", 1) + "\n",
+    "no final newline": _ROW,
+    "crlf": _ROW + "\r\n" + _ROW + "\r\n",
+    "cr only": _ROW + "\r" + _ROW + "\r",
+    "spaces and tabs": " 3 ,\t16\t, 0," + ",".join(["1"] * 62) + "  \n",
+    "plus sign": "+3,+16," + _ZEROS + "\n",
+    "underscore digits": "3,1_6," + _ZEROS + "\n",
+    "non-ascii digits": "\u0663,\u0661\u0666," + _ZEROS + "\n",
+    "leading zeros": "03,016," + _ZEROS + "\n",
+    "blank lines in the middle": _ROW + "\n\n  \n\t\n" + _ROW + "\n",
+    "hash line": "# digits\n" + _ROW + "\n",
+    "hash after a row": _ROW + "\n#\n",
+    "trailing comma": _ROW + ",\n",
+    "64 fields": ",".join(["0"] * 64) + "\n",
+    "64 fields on every row": (",".join(["0"] * 64) + "\n") * 3,
+    "66 fields": _ROW + ",0\n",
+    "label 10": "10,0," + _ZEROS + "\n",
+    "pixel 17": _ROW + "\n3,17," + _ZEROS + "\n",
+    "float": "3,1.5," + _ZEROS + "\n",
+    "300": "3,300," + _ZEROS + "\n",
+    "-1": "-1,0," + _ZEROS + "\n",
+    "272 wraps to 16": "3,272," + _ZEROS + "\n",
+    "-240 wraps to 16": "3,-240," + _ZEROS + "\n",
+    "empty field": "3,," + _ZEROS + "\n",
+    "byte order mark": "\ufeff" + _ROW + "\n",
+    "empty": "",
+    "blank only": "\n  \n\t\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_DIGITS_EDGE_FILES))
+def test_digits_array_parse_equals_the_per_line_parser(tmp_path, name):
+    path = tmp_path / "edge.csv"
+    path.write_bytes(_DIGITS_EDGE_FILES[name].encode("utf-8"))
+    # every warning is recorded, so loadtxt's "input contained no data" on
+    # an empty file fails the test even where a filter would turn it into
+    # an exception that the loader catches
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = _digits_outcome(load_digits_csv, path)
+    assert caught == []
+    assert got == _digits_outcome(_reference_digits_csv, path)
+
+
+def test_bundled_digits_file_takes_the_array_pass(monkeypatch):
+    def refuse(path):
+        raise AssertionError("fell back to the per-line parser")
+
+    monkeypatch.setattr(datasets, "_parse_digits_rows", refuse)
+    ds = load_digits_csv(DIGITS_CSV)
+    assert ds.images.dtype == np.uint8 and ds.scale == 16
+    want = _digits_outcome(_reference_digits_csv, DIGITS_CSV)
+    assert _digits_outcome(load_digits_csv, DIGITS_CSV) == want
+
+
+def test_digits_parse_leaves_gzip_unimported():
+    """Given a path, numpy's loadtxt opens it through a module that imports
+    gzip; the loader hands it an open file.  A fresh interpreter, so that
+    pytest's own imports cannot hide the module."""
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    code = ("import sys; from qcnnlab.datasets import load_digits_csv; "
+            f"load_digits_csv({os.path.abspath(DIGITS_CSV)!r}); print('gzip' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +268,7 @@ def test_idx_minimal_pair(tmp_path):
     ds = load_idx(ip, lp)
     assert len(ds) == 1
     assert ds.labels[0] == 7
-    assert np.array_equal(ds.images[0], [[0.0, 1.0], [0.0, 1.0]])
+    assert np.array_equal(ds.images[0] / ds.scale, [[0.0, 1.0], [0.0, 1.0]])
 
 
 def test_idx_label_magic_on_image_file(tmp_path):
@@ -346,7 +466,7 @@ def test_binary_subset_five_per_class():
 def _per_sample_binary_subset(ds, class_a, class_b, n_per_class, n_test, seed):
     """The selection spelled out per sample: per class, the matching indices
     in dataset order, one seeded permutation, then a -> 0 and b -> 1."""
-    samples = list(zip(ds.images, ds.labels))
+    samples = list(zip(ds.images / ds.scale, ds.labels))
     rng = np.random.default_rng(seed)
     picked = {}
     for cls in (class_a, class_b):
@@ -373,3 +493,100 @@ def test_binary_subset_equals_the_per_sample_selection(seed, class_a, class_b, n
         assert part.images.tobytes() == np.stack([img for img, _ in want]).tobytes()
         assert part.labels.tolist() == [label for _, label in want]
         assert part.labels.dtype == np.int64
+
+
+# ---------------------------------------------------------------------------
+# 8-bit pools: memory, one uint8 array, and subsets bitwise equal to float pools
+# ---------------------------------------------------------------------------
+
+def _pgm_dir(path, n_per_class, h, w, seed=0):
+    """Random-level PGMs named cat000.pgm.. and dog000.pgm..; returns the
+    float64 pool today's per-image loader built from them."""
+    path.mkdir(exist_ok=True)
+    rng = np.random.default_rng(seed)
+    for k in range(n_per_class):
+        for cls in ("cat", "dog"):
+            write_pgm(path / f"{cls}{k:03d}.pgm", rng.integers(0, 256, (h, w)) / 255.0)
+    names = sorted(os.listdir(path))
+    return Dataset(np.stack([load_pgm(path / name) for name in names]),
+                   np.array([int(name.startswith("dog")) for name in names]))
+
+
+def _peak_bytes(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("n_per_class,resize", [(180, 0), (360, 8)])
+def test_pgm_pool_peak_stays_below_one_float_pool(tmp_path, n_per_class, resize):
+    _pgm_dir(tmp_path / "pgm", n_per_class, 32, 32)
+    cfg = ExperimentConfig(dataset="catdog", data_path=str(tmp_path / "pgm"), resize=resize)
+    assert _peak_bytes(load_pool, cfg) < 2 * n_per_class * 32 * 32 * 8
+
+
+def test_resize_pool_in_chunks_is_bitwise_the_whole_float_pool_resize(tmp_path):
+    float_pgm = _pgm_dir(tmp_path / "pgm", 150, 8, 8, seed=5)  # 300 images: two chunks
+    pool = load_pgm_dir(tmp_path / "pgm", {"cat": 0, "dog": 1})
+    for size in (4, 2):
+        got = resize_pool(pool, size)
+        assert got.scale == 1 and np.array_equal(got.labels, pool.labels)
+        assert got.images.tobytes() == resize_area(float_pgm.images, size, size).tobytes()
+    empty = Dataset(np.zeros((0, 8, 8), dtype=np.uint8), np.zeros(0, dtype=np.int64), 255)
+    assert resize_pool(empty, 4).images.shape == (0, 4, 4)
+
+
+def test_digits_load_peak_stays_below_one_float_pool():
+    assert _peak_bytes(load_digits_csv, DIGITS_CSV) < 1797 * 64 * 8
+
+
+def test_pgm_dir_reads_headers_spelled_differently_into_one_array(tmp_path):
+    (tmp_path / "cat0.pgm").write_bytes(b"P5\n2 2\n255\n" + bytes([0, 1, 2, 3]))
+    (tmp_path / "cat1.pgm").write_bytes(b"P5 # other\n2\t2 255 " + bytes([4, 5, 6, 7]))
+    (tmp_path / "cat2.pgm").write_bytes(b"P5\n2 2\n255\n" + bytes([8, 9, 10, 11]))
+    ds = load_pgm_dir(tmp_path, {"cat": 0})
+    assert ds.scale == 255
+    assert ds.images.dtype == np.uint8 and ds.images.flags.c_contiguous
+    assert ds.images.reshape(-1).tolist() == list(range(12))
+
+
+@pytest.mark.parametrize("later,error,match", [
+    (b"P5\n2 2\n255\n\x00", TruncatedFile, "wanted 4 raster bytes, got 1"),
+    (b"P5\n2 2\n65535\n" + bytes(8), UnsupportedPgm, "maxval 65535"),
+    (b"P5\n1 4\n255\n" + bytes(4), MixedImageSizes, "b.pgm is 4x1 but a.pgm is 2x2"),
+])
+def test_pgm_dir_later_file_errors_are_unchanged(tmp_path, later, error, match):
+    (tmp_path / "a.pgm").write_bytes(b"P5\n2 2\n255\n" + bytes(4))
+    (tmp_path / "b.pgm").write_bytes(later)
+    with pytest.raises(error, match=match):
+        load_pgm_dir(tmp_path, {"a": 0, "b": 1})
+
+
+def _pools(tmp_path):
+    """(8-bit pool, float64 pool as today's loaders built it) per source."""
+    digits = (load_digits_csv(DIGITS_CSV), _reference_digits_csv(DIGITS_CSV))
+    float_pgm = _pgm_dir(tmp_path / "pgm", 30, 16, 16, seed=3)
+    pgm = (load_pgm_dir(tmp_path / "pgm", {"cat": 0, "dog": 1}), float_pgm)
+    resized = (load_pool(ExperimentConfig(dataset="catdog", data_path=str(tmp_path / "pgm"),
+                                          resize=4)),
+               Dataset(resize_area(float_pgm.images, 4, 4), float_pgm.labels))
+    levels = np.random.default_rng(4).integers(0, 256, (60, 5, 7), dtype=np.uint8)
+    ip, lp = _idx_pair(tmp_path, levels, np.arange(60) % 3)
+    idx = (load_idx(ip, lp), Dataset(levels.astype(np.float64) / 255.0, np.arange(60) % 3))
+    return {"digits": digits, "pgm": pgm, "resized pgm": resized, "idx": idx}
+
+
+def test_subsets_of_8bit_pools_equal_the_float_pools_bitwise(tmp_path):
+    for name, (pool, float_pool) in _pools(tmp_path).items():
+        assert pool.images.dtype == (np.float64 if name == "resized pgm" else np.uint8), name
+        assert np.array_equal(pool.labels, float_pool.labels), name
+        for seed in (0, 7):
+            got = binary_subset(pool, 0, 1, 10, 8, seed)
+            want = binary_subset(float_pool, 0, 1, 10, 8, seed)
+            for part, ref in zip(got, want):
+                assert part.scale == 1 and part.images.dtype == np.float64, name
+                assert part.images.tobytes() == ref.images.tobytes(), name
+                assert part.labels.tobytes() == ref.labels.tobytes(), name

@@ -291,6 +291,19 @@ def test_training_with_augmentation_is_deterministic_and_distinct():
     assert rows_plain != rows_a  # the gradient saw different images
 
 
+@pytest.mark.parametrize("which", ["train", "test"])
+def test_fit_refuses_a_set_of_undivided_levels(which):
+    """A loader's 8-bit pool handed straight to training would train on 0..255."""
+    train, test = _toy_sets(np.random.default_rng(13))
+    sets = {"train": train, "test": test}
+    ds = sets[which]
+    sets[which] = Dataset(np.rint(ds.images * 255).astype(np.uint8), ds.labels, 255)
+    with pytest.raises(TrainingError, match="scale"):
+        train_qcnn(build_architecture(6, 1), sets["train"], sets["test"], TrainConfig(epochs=1))
+    with pytest.raises(TrainingError, match="scale"):
+        train_cnn(build_cnn((8, 8), seed=0), sets["train"], sets["test"], TrainConfig(epochs=1))
+
+
 def test_training_reduces_loss_on_separable_toy_data():
     rng = np.random.default_rng(12)
     train, test = _toy_sets(rng, n_train=10, n_test=6)
