@@ -11,22 +11,14 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import tempfile
 import warnings
 from dataclasses import fields
 
 import numpy as np
 
-from .augment import AugmentError, augment_batch, augment_sample, flip_h, preset
+from .augment import AugmentError, augment_batch, augment_sample, preset
 from .cnn import build_cnn, cnn_loss_and_grads, conv2d, conv_relu_pool, maxpool2x2, maxpool2x2_backward, relu
-from .datasets import (
-    Dataset,
-    DatasetError,
-    load_digits_csv,
-    load_pgm,
-    write_digits_csv,
-    write_pgm,
-)
+from .datasets import Dataset, DatasetError, write_digits_csv, write_pgm
 from .embedding import EmbeddingError
 from .harness import (
     ConfigError,
@@ -50,8 +42,8 @@ from .qcnn import (
     pool_block_ops,
     split_params,
 )
-from .simulator import SimulatorError, apply_gate, dense_circuit_oracle, ising_matrix, is_unitary, u3_matrix, zero_state
-from .training import TrainingError, adam_step, batch_p1s, grad_exact, grad_fd, lr_at, mse_loss, TrainConfig
+from .simulator import SimulatorError, apply_gate, dense_circuit_oracle, u3_matrix, zero_state
+from .training import TrainingError, batch_p1s, grad_exact, grad_fd, mse_loss
 
 
 class UsageError(Exception):
@@ -89,7 +81,7 @@ def _cmd_train(args, model: str) -> int:
     for rr in results:
         print(f"{rr.class_a}-vs-{rr.class_b} N={rr.n_per_class}: "
               f"mean final test acc {rr.mean_final_test_acc:.4f} "
-              f"over {len(rr.final_test_accs)} reps")
+              f"over {len(rr.per_rep_rows)} reps")
     print(f"wrote {args.out}")
     return 0
 
@@ -137,16 +129,6 @@ def _cmd_augment_preview(args) -> int:
 # ---------------------------------------------------------------------------
 # selftest
 # ---------------------------------------------------------------------------
-
-def _check_gate_algebra():
-    rng = np.random.default_rng(0)
-    assert np.allclose(u3_matrix(0, 0, 0), np.eye(2), atol=1e-12)
-    assert np.allclose(u3_matrix(np.pi, 0, np.pi), [[0, 1], [1, 0]], atol=1e-12)
-    for _ in range(200):
-        angles = rng.uniform(-2 * np.pi, 2 * np.pi, 3)
-        assert is_unitary(u3_matrix(*angles), 1e-10)
-        assert is_unitary(ising_matrix("XX", angles[0]), 1e-10)
-
 
 def _check_dense_oracle():
     rng = np.random.default_rng(1)
@@ -227,16 +209,6 @@ def _check_cnn_pooling_order():
         assert np.array_equal(maxpool2x2_backward(dx.shape, route, dout), dx)
 
 
-def _check_augment():
-    rng = np.random.default_rng(4)
-    img = rng.random((8, 8))
-    assert np.array_equal(flip_h(flip_h(img)), img)
-    cfg = preset("digits")
-    for _ in range(500):
-        out = augment_sample(img, cfg, rng)
-        assert out.min() >= 0.0 and out.max() <= 1.0
-
-
 def _check_batched_augment():
     images = np.random.default_rng(7).random((12, 8, 8))
     cfg = preset("digits")
@@ -246,30 +218,7 @@ def _check_batched_augment():
         assert np.array_equal(augment_batch(images, cfg, batched), one_by_one)
 
 
-def _check_optimizer():
-    params = np.array([0.5, -0.5])
-    out, _ = adam_step(params, np.zeros(2), None, 1, 0.1)
-    assert np.array_equal(out, params)
-    cfg = TrainConfig(epochs=1)
-    assert abs(lr_at(1, cfg) - 0.095) < 1e-12
-
-
-def _check_round_trips():
-    rng = np.random.default_rng(5)
-    img = np.rint(rng.random((8, 8)) * 255) / 255.0
-    with tempfile.TemporaryDirectory() as d:
-        path = os.path.join(d, "x.pgm")
-        write_pgm(path, img)
-        assert np.array_equal(load_pgm(path), img)
-        quantized = np.rint(rng.random((8, 8)) * 16) / 16.0
-        ds = Dataset(quantized[None], np.array([3]))
-        csv_path = os.path.join(d, "x.csv")
-        write_digits_csv(csv_path, ds)
-        again = load_digits_csv(csv_path)
-        assert np.array_equal(again.pixels(slice(None)), ds.images)
-
-
-def _check_digits_parse():
+def _check_loadtxt_range():
     # load_digits_csv's array pass needs loadtxt to refuse, not wrap to 16, out-of-range uint8
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # as load_digits_csv sets it
@@ -278,18 +227,14 @@ def _check_digits_parse():
 
 
 _SELFTEST_CHECKS = (
-    ("gate algebra", _check_gate_algebra),
     ("dense circuit oracle", _check_dense_oracle),
     ("fused blocks match per-gate circuit", _check_block_build),
     ("pooling branch equivalence", _check_pooling_branches),
     ("gradient engines agree", _check_gradients),
     ("cnn gradient matches finite differences", _check_cnn_gradients),
     ("cnn pooling order matches the reference layers", _check_cnn_pooling_order),
-    ("augmentation bounds", _check_augment),
     ("batched augmentation matches per-image draws", _check_batched_augment),
-    ("optimizer", _check_optimizer),
-    ("file round trips", _check_round_trips),
-    ("digits array parse matches the per-line parser", _check_digits_parse),
+    ("np.loadtxt refuses out-of-range uint8 fields", _check_loadtxt_range),
 )
 
 

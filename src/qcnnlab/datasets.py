@@ -224,11 +224,6 @@ def _pgm_levels(path) -> np.ndarray:
     return np.frombuffer(raster, dtype=np.uint8).reshape(height, width)
 
 
-def load_pgm(path: str | os.PathLike) -> np.ndarray:
-    """Read one binary PGM into an H x W float array in [0, 1]."""
-    return _pgm_levels(path) / 255.0
-
-
 def write_pgm(path: str | os.PathLike, img: np.ndarray) -> None:
     """Write a [0,1] float image as binary PGM (quantized to 8 bits)."""
     img = np.asarray(img)

@@ -24,7 +24,7 @@ from .augment import AugmentError, preset
 from .cnn import build_cnn, train_cnn
 from .datasets import Dataset, binary_subset, load_digits_csv, load_idx, load_pgm_dir, resize_pool
 from .qcnn import QcnnError, build_architecture
-from .training import MetricsRow, TrainConfig, format_metrics, mean_metrics, train_qcnn
+from .training import METRICS, TrainConfig, format_metrics, mean_metrics, train_qcnn
 
 
 class ConfigError(ValueError):
@@ -162,22 +162,19 @@ def format_config(cfg: ExperimentConfig) -> str:
 
 @dataclass(frozen=True)
 class RunResult:
-    """One grid cell: every repetition's curve plus the aggregate."""
+    """One grid cell: every repetition's curve, an (R, epochs) METRICS
+    recarray, plus their (epochs,) mean."""
 
     class_a: int
     class_b: int
     n_per_class: int
-    per_rep_rows: tuple[tuple[MetricsRow, ...], ...]
+    per_rep_rows: np.recarray
     per_rep_params: tuple[np.ndarray, ...]
-    mean_rows: tuple[MetricsRow, ...]
-
-    @property
-    def final_test_accs(self) -> tuple[float, ...]:
-        return tuple(rows[-1].test_acc for rows in self.per_rep_rows)
+    mean_rows: np.recarray
 
     @property
     def mean_final_test_acc(self) -> float:
-        return float(np.mean(self.final_test_accs))
+        return float(np.mean(self.per_rep_rows.test_acc[:, -1]))
 
 
 def load_pool(cfg: ExperimentConfig) -> Dataset:
@@ -214,28 +211,27 @@ def _train_one_rep(cfg: ExperimentConfig, pool: Dataset, class_b: int,
     aug = preset(cfg.augment)
     if cfg.model == "qcnn":
         arch = build_architecture(cfg.n_qubits, cfg.depth)
-        rows, params = train_qcnn(arch, train, test, tcfg, augment_cfg=aug)
-        return tuple(rows), np.asarray(params)
+        return train_qcnn(arch, train, test, tcfg, augment_cfg=aug)
     model = build_cnn(train.images.shape[1:], seed)
     rows, trained = train_cnn(model, train, test, tcfg, augment_cfg=aug)
-    return tuple(rows), trained.pack()
+    return rows, trained.pack()
 
 
 def _compute_experiment(cfg: ExperimentConfig, pool: Dataset) -> list[RunResult]:
     results = []
     for class_b in cfg.class_b:
         for n in cfg.n_per_class:
-            rep_rows, rep_params = [], []
+            rep_rows, rep_params = np.recarray((cfg.repetitions, cfg.epochs), METRICS), []
             for k in range(cfg.repetitions):
                 start = time.perf_counter()
                 rows, params = _train_one_rep(cfg, pool, class_b, n, cfg.base_seed + k)
                 print(f"{cfg.class_a}-vs-{class_b} N={n} rep {k + 1}/{cfg.repetitions}: "
                       f"final test acc {rows[-1].test_acc:.4f}, "
                       f"{time.perf_counter() - start:.2f} s", file=sys.stderr)
-                rep_rows.append(rows)
+                rep_rows[k] = rows
                 rep_params.append(params)
-            results.append(RunResult(cfg.class_a, class_b, n, tuple(rep_rows), tuple(rep_params),
-                                     tuple(mean_metrics([list(r) for r in rep_rows]))))
+            results.append(RunResult(cfg.class_a, class_b, n, rep_rows, tuple(rep_params),
+                                     mean_metrics(rep_rows)))
     return results
 
 

@@ -68,16 +68,9 @@ class TrainConfig:
             raise TrainingError(f"lr_decay must be in [0, 1), got {self.lr_decay}")
 
 
-@dataclass(frozen=True)
-class MetricsRow:
-    epoch: int
-    train_loss: float
-    train_acc: float
-    test_loss: float
-    test_acc: float
-
-
 METRICS_HEADER = "epoch,train_loss,train_acc,test_loss,test_acc"
+# one record per epoch; a run is an (epochs,) np.recarray of these, a cell (R, epochs)
+METRICS = np.dtype([(name, np.float64) for name in METRICS_HEADER.split(",")])
 
 
 def mse_loss(p1s, labels) -> float:
@@ -246,7 +239,10 @@ _HEAP_TRIM_LIFT = 1 << 20
 
 def fit(params, train_set, test_set, cfg: TrainConfig, augment_cfg: AugmentConfig | None,
         *, encode, bind, forward, score, backward):
-    """Full-batch Adam training; returns (per-epoch metrics, final params).
+    """Full-batch Adam training; returns (metrics, final params).
+
+    The metrics are an (epochs,) :data:`METRICS` recarray, one record per
+    epoch after its step, so ``rows[-1].test_acc`` is the final test accuracy.
 
     The model supplies ``encode(images)``, its input for an (m, h, w) image stack;
     ``bind(params)``, called once per parameter vector; ``forward(bound,
@@ -263,6 +259,7 @@ def fit(params, train_set, test_set, cfg: TrainConfig, augment_cfg: AugmentConfi
     """
     if train_set.scale != 1 or test_set.scale != 1:
         raise TrainingError("images must be divided to [0, 1] (scale 1), as binary_subset does")
+    rows = np.recarray(cfg.epochs, METRICS)
     np.empty(_HEAP_TRIM_LIFT)  # allocated and freed at once
     labels = (_check_binary(train_set.labels, "train"), _check_binary(test_set.labels, "test"))
     clean = (encode(train_set.images), encode(test_set.images))
@@ -273,7 +270,6 @@ def fit(params, train_set, test_set, cfg: TrainConfig, augment_cfg: AugmentConfi
     # (outputs, cache) of the forward the next backward starts from; popped
     # straight into that call, so that no name here keeps the cache alive
     kept = [] if augmenting else [forward(bound, clean[0])]
-    rows: list[MetricsRow] = []
     moments = None
     for epoch in range(cfg.epochs):
         lr = lr_at(epoch, cfg)
@@ -294,7 +290,7 @@ def fit(params, train_set, test_set, cfg: TrainConfig, augment_cfg: AugmentConfi
         if not (np.all(np.isfinite(params)) and np.isfinite(tr_loss) and np.isfinite(te_loss)):
             raise TrainingError(f"training diverged: non-finite parameters or loss after the step "
                                 f"at seed {cfg.seed}, epoch {epoch}, lr {lr:g}")
-        rows.append(MetricsRow(epoch, tr_loss, tr_acc, te_loss, te_acc))
+        rows[epoch] = epoch, tr_loss, tr_acc, te_loss, te_acc
     return rows, params
 
 
@@ -320,24 +316,18 @@ def train_qcnn(arch: Architecture, train_set, test_set, cfg: TrainConfig,
 # ---------------------------------------------------------------------------
 
 def format_metrics(rows) -> str:
-    """CSV text: header then one 6-significant-digit row per epoch."""
+    """CSV text: header then one 6-significant-digit row per epoch of a METRICS array."""
     lines = [METRICS_HEADER]
-    for r in rows:
-        lines.append(f"{int(r.epoch)},{r.train_loss:.6g},{r.train_acc:.6g},"
-                     f"{r.test_loss:.6g},{r.test_acc:.6g}")
+    for epoch, tr_loss, tr_acc, te_loss, te_acc in rows.tolist():
+        lines.append(f"{int(epoch)},{tr_loss:.6g},{tr_acc:.6g},{te_loss:.6g},{te_acc:.6g}")
     return "\n".join(lines) + "\n"
 
 
-def mean_metrics(runs) -> list[MetricsRow]:
-    """Elementwise mean of several equal-length metric curves."""
-    if not runs:
+def mean_metrics(runs) -> np.recarray:
+    """Per-epoch mean of an (R, epochs) METRICS array over its R runs."""
+    if not len(runs):
         raise EmptyBatch("no runs to average")
-    lengths = {len(r) for r in runs}
-    if len(lengths) != 1:
-        raise LengthMismatch(f"curves differ in length: {sorted(lengths)}")
-    # one (epochs * 4, R) reduction along its contiguous last axis sums each
+    # one (epochs * 5, R) reduction along its contiguous last axis sums each
     # value's R runs in the same pairwise order as a 1-D np.mean of them
-    values = np.array([[(r.train_loss, r.train_acc, r.test_loss, r.test_acc) for r in run]
-                       for run in runs], dtype=np.float64)
-    means = np.ascontiguousarray(values.reshape(len(runs), -1).T).mean(axis=1).reshape(-1, 4)
-    return [MetricsRow(row.epoch, *m) for row, m in zip(runs[0], means.tolist())]
+    values = runs.view(np.float64).reshape(len(runs), -1)
+    return np.ascontiguousarray(values.T).mean(axis=1).view(METRICS, np.recarray)

@@ -8,7 +8,7 @@ import pytest
 from qcnnlab.augment import AugmentConfig, augment_sample
 from qcnnlab import cnn
 from qcnnlab.datasets import Dataset, binary_subset, load_digits_csv
-from qcnnlab.training import MetricsRow, ShapeMismatch, TrainConfig, adam_step, grad_fd, lr_at
+from qcnnlab.training import METRICS, ShapeMismatch, TrainConfig, adam_step, grad_fd, lr_at
 from qcnnlab.cnn import (
     CnnModel,
     build_cnn,
@@ -491,7 +491,7 @@ def test_cnn_training_is_deterministic():
     cfg = TrainConfig(epochs=3, seed=8)
     rows1, m1 = train_cnn(model, train, test, cfg)
     rows2, m2 = train_cnn(model, train, test, cfg)
-    assert rows1 == rows2
+    assert rows1.tobytes() == rows2.tobytes()
     assert np.array_equal(m1.pack(), m2.pack())
 
 
@@ -528,8 +528,8 @@ def _reference_train_cnn(model, train, test, cfg, aug):
         metrics = []
         for data in (train, test):
             metrics += cnn_loss_and_grads(stepped, data.images, data.labels)[:2]
-        rows.append(MetricsRow(epoch, *metrics))
-    return rows, params
+        rows.append((epoch, *metrics))
+    return np.array(rows, dtype=METRICS), params
 
 
 @pytest.mark.parametrize("hw", [(8, 8), (16, 16)])
@@ -540,7 +540,7 @@ def test_train_cnn_equals_the_reference_loop_exactly(hw, aug):
     cfg = TrainConfig(epochs=5, seed=3)
     rows, trained = train_cnn(model, train, test, cfg, augment_cfg=aug)
     ref_rows, ref_params = _reference_train_cnn(model, train, test, cfg, aug)
-    assert rows == ref_rows
+    assert rows.dtype == METRICS and rows.tobytes() == ref_rows.tobytes()
     assert trained.pack().tobytes() == ref_params.tobytes()
 
 
@@ -569,5 +569,5 @@ def test_train_cnn_on_digits_equals_the_reference_layers_exactly(scale, monkeypa
     rows, trained = train_cnn(model, train, test, cfg)
     monkeypatch.setattr(cnn, "_forward", _reference_forward)
     ref_rows, ref_trained = train_cnn(model, train, test, cfg)
-    assert rows == ref_rows
+    assert rows.tobytes() == ref_rows.tobytes()
     assert trained.pack().tobytes() == ref_trained.pack().tobytes()

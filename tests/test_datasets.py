@@ -23,10 +23,10 @@ from qcnnlab.datasets import (
     TruncatedFile,
     UnknownClassPrefix,
     UnsupportedPgm,
+    _pgm_levels,
     binary_subset,
     load_digits_csv,
     load_idx,
-    load_pgm,
     load_pgm_dir,
     resize_area,
     resize_pool,
@@ -317,37 +317,36 @@ def test_fashion_mnist_train_file_loads_if_present():
 def test_pgm_minimal_file(tmp_path):
     path = tmp_path / "cat.0.pgm"
     path.write_bytes(b"P5\n2 2\n255\n" + bytes([0, 128, 255, 64]))
-    img = load_pgm(path)
-    assert img.shape == (2, 2)
-    assert np.allclose(img, np.array([[0, 128], [255, 64]]) / 255.0)
+    levels = _pgm_levels(path)
+    assert levels.dtype == np.uint8
+    assert np.array_equal(levels, [[0, 128], [255, 64]])
 
 
 def test_pgm_header_comments_are_skipped(tmp_path):
     path = tmp_path / "c.pgm"
     path.write_bytes(b"P5\n# made by hand\n2 1\n255\n" + bytes([10, 20]))
-    img = load_pgm(path)
-    assert np.allclose(img, [[10 / 255, 20 / 255]])
+    assert np.array_equal(_pgm_levels(path), [[10, 20]])
 
 
 def test_pgm_rejects_ascii_p2(tmp_path):
     path = tmp_path / "a.pgm"
     path.write_bytes(b"P2\n2 2\n255\n0 1 2 3\n")
     with pytest.raises(UnsupportedPgm, match="P2"):
-        load_pgm(path)
+        _pgm_levels(path)
 
 
 def test_pgm_rejects_wide_maxval(tmp_path):
     path = tmp_path / "wide.pgm"
     path.write_bytes(b"P5\n1 1\n65535\n\x00\x00")
     with pytest.raises(UnsupportedPgm, match="65535"):
-        load_pgm(path)
+        _pgm_levels(path)
 
 
 def test_pgm_rejects_truncated_raster(tmp_path):
     path = tmp_path / "t.pgm"
     path.write_bytes(b"P5\n2 2\n255\n\x00\x01")
     with pytest.raises(TruncatedFile):
-        load_pgm(path)
+        _pgm_levels(path)
 
 
 def test_pgm_round_trip(tmp_path):
@@ -355,7 +354,7 @@ def test_pgm_round_trip(tmp_path):
     img = np.rint(rng.random((5, 7)) * 255) / 255.0
     path = tmp_path / "rt.pgm"
     write_pgm(path, img)
-    assert np.array_equal(load_pgm(path), img)
+    assert np.array_equal(_pgm_levels(path) / 255.0, img)
 
 
 def test_pgm_dir_classes_from_prefix(tmp_path):
@@ -501,14 +500,14 @@ def test_binary_subset_equals_the_per_sample_selection(seed, class_a, class_b, n
 
 def _pgm_dir(path, n_per_class, h, w, seed=0):
     """Random-level PGMs named cat000.pgm.. and dog000.pgm..; returns the
-    float64 pool today's per-image loader built from them."""
+    float64 pool read from them one file at a time."""
     path.mkdir(exist_ok=True)
     rng = np.random.default_rng(seed)
     for k in range(n_per_class):
         for cls in ("cat", "dog"):
             write_pgm(path / f"{cls}{k:03d}.pgm", rng.integers(0, 256, (h, w)) / 255.0)
     names = sorted(os.listdir(path))
-    return Dataset(np.stack([load_pgm(path / name) for name in names]),
+    return Dataset(np.stack([_pgm_levels(path / name) / 255.0 for name in names]),
                    np.array([int(name.startswith("dog")) for name in names]))
 
 

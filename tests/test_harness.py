@@ -17,13 +17,14 @@ from qcnnlab.harness import (
     ComparisonTable,
     ConfigError,
     ExperimentConfig,
+    RunResult,
     compare_da,
     format_config,
     parse_config_file,
     resolve_config,
     run_experiment,
 )
-from qcnnlab.training import TrainingError
+from qcnnlab.training import METRICS, TrainingError
 
 DIGITS = os.path.join(os.path.dirname(__file__), "..", "data", "digits.csv")
 
@@ -253,6 +254,17 @@ def test_cnn_model_runs_too(tmp_path):
     results = run_experiment(_tiny_cfg(model="cnn", epochs=2), str(out))
     assert results[0].per_rep_rows[0][-1].epoch == 1
     assert (out / "metrics_mean.csv").exists()
+
+
+@pytest.mark.parametrize("reps", [1, 7, 8, 9, 20])
+def test_mean_final_test_acc_is_bitwise_the_mean_of_the_final_accuracies(reps):
+    rng = np.random.default_rng(reps)
+    rows = np.recarray((reps, 4), METRICS)
+    rows.view(np.float64)[...] = rng.random((reps, 4 * 5)) * 10.0 ** rng.integers(-6, 6, (reps, 4 * 5))
+    result = RunResult(0, 1, 4, rows, (), rows[0])
+    finals = [rows[k][-1].test_acc.item() for k in range(reps)]
+    assert isinstance(result.mean_final_test_acc, float)
+    assert result.mean_final_test_acc.hex() == float(np.mean(finals)).hex()
 
 
 # ---------------------------------------------------------------------------
@@ -553,4 +565,5 @@ def test_cli_selftest_passes(capsys):
     out = capsys.readouterr().out
     assert "all checks passed" in out
     assert "selftest: cnn gradient matches finite differences: ok" in out
+    assert "selftest: np.loadtxt refuses out-of-range uint8 fields: ok" in out
     assert "FAIL" not in out

@@ -15,7 +15,7 @@ from qcnnlab.qcnn import build_architecture, circuit_ops, forward
 from qcnnlab.training import (
     EmptyBatch,
     LengthMismatch,
-    MetricsRow,
+    METRICS,
     NonBinaryLabels,
     ShapeMismatch,
     TrainConfig,
@@ -274,7 +274,7 @@ def test_training_is_deterministic():
     cfg = TrainConfig(epochs=3, seed=8)
     rows1, params1 = train_qcnn(arch, train, test, cfg)
     rows2, params2 = train_qcnn(arch, train, test, cfg)
-    assert rows1 == rows2
+    assert rows1.tobytes() == rows2.tobytes()
     assert np.array_equal(params1, params2)
 
 
@@ -286,9 +286,9 @@ def test_training_with_augmentation_is_deterministic_and_distinct():
     aug = AugmentConfig(rotation=True, contrast=True)
     rows_a, params_a = train_qcnn(arch, train, test, cfg, augment_cfg=aug)
     rows_b, params_b = train_qcnn(arch, train, test, cfg, augment_cfg=aug)
-    assert rows_a == rows_b and np.array_equal(params_a, params_b)
+    assert rows_a.tobytes() == rows_b.tobytes() and np.array_equal(params_a, params_b)
     rows_plain, _ = train_qcnn(arch, train, test, cfg)
-    assert rows_plain != rows_a  # the gradient saw different images
+    assert rows_plain.tobytes() != rows_a.tobytes()  # the gradient saw different images
 
 
 @pytest.mark.parametrize("which", ["train", "test"])
@@ -399,8 +399,8 @@ def _reference_fit(arch, train, test, cfg, aug):
         for data in (train, test):
             p1s = batch_p1s(arch, params, data.images)
             metrics += [mse_loss(p1s, data.labels), accuracy(p1s, data.labels)]
-        rows.append(MetricsRow(epoch, *metrics))
-    return rows, params
+        rows.append((epoch, *metrics))
+    return np.array(rows, dtype=METRICS), params
 
 
 @pytest.mark.parametrize("aug", [None, AugmentConfig(rotation=True, contrast=True),
@@ -411,7 +411,7 @@ def test_train_qcnn_equals_the_reference_loop_exactly(aug):
     cfg = TrainConfig(epochs=5, seed=3)
     rows, params = train_qcnn(arch, train, test, cfg, augment_cfg=aug)
     ref_rows, ref_params = _reference_fit(arch, train, test, cfg, aug)
-    assert rows == ref_rows
+    assert rows.dtype == METRICS and rows.tobytes() == ref_rows.tobytes()
     assert params.tobytes() == ref_params.tobytes()
 
 
@@ -495,9 +495,13 @@ def test_a_run_builds_one_layout_plan_per_architecture():
 # metrics formatting
 # ---------------------------------------------------------------------------
 
+def _metrics(*rows):
+    return np.array(list(rows), dtype=METRICS).view(np.recarray)
+
+
 def test_metrics_csv_layout():
-    rows = [MetricsRow(0, 0.25, 0.5, 0.251234567, 0.75),
-            MetricsRow(1, 0.2, 1.0 / 3.0, 0.19, 0.8)]
+    rows = _metrics((0, 0.25, 0.5, 0.251234567, 0.75),
+                    (1, 0.2, 1.0 / 3.0, 0.19, 0.8))
     text = format_metrics(rows)
     lines = text.strip().split("\n")
     assert lines[0] == "epoch,train_loss,train_acc,test_loss,test_acc"
@@ -506,31 +510,27 @@ def test_metrics_csv_layout():
 
 
 def test_mean_metrics_averages_elementwise():
-    a = [MetricsRow(0, 0.2, 0.5, 0.3, 0.5)]
-    b = [MetricsRow(0, 0.4, 1.0, 0.1, 0.7)]
-    mean = mean_metrics([a, b])
-    assert mean[0] == MetricsRow(0, pytest.approx(0.3), pytest.approx(0.75),
-                                 pytest.approx(0.2), pytest.approx(0.6))
+    runs = np.stack([_metrics((0, 0.2, 0.5, 0.3, 0.5)), _metrics((0, 0.4, 1.0, 0.1, 0.7))])
+    mean = mean_metrics(runs)
+    assert mean.shape == (1,) and mean[0].epoch == 0
+    assert mean[0].tolist()[1:] == pytest.approx((0.3, 0.75, 0.2, 0.6))
 
 
 def test_mean_metrics_single_run_is_identity():
-    a = [MetricsRow(0, 0.2, 0.5, 0.3, 0.5), MetricsRow(1, 0.1, 0.9, 0.2, 0.8)]
-    assert mean_metrics([a]) == a
+    a = _metrics((0, 0.2, 0.5, 0.3, 0.5), (1, 0.1, 0.9, 0.2, 0.8))
+    assert mean_metrics(a[None]).tobytes() == a.tobytes()
 
 
 @pytest.mark.parametrize("reps", [1, 2, 7, 8, 9, 20])
 def test_mean_metrics_is_bitwise_the_per_epoch_mean(reps):
     rng = np.random.default_rng(reps)
-    runs = [[MetricsRow(e, *(rng.random(4) * 10.0 ** rng.integers(-6, 6, 4)).tolist())
-             for e in range(5)] for _ in range(reps)]
-    fields = ("train_loss", "train_acc", "test_loss", "test_acc")
-    want = [MetricsRow(rows[0].epoch, *(float(np.mean([getattr(r, f) for r in rows])) for f in fields))
-            for rows in zip(*runs)]
-    assert mean_metrics(runs) == want
+    runs = np.stack([_metrics(*[(e, *(rng.random(4) * 10.0 ** rng.integers(-6, 6, 4)).tolist())
+                                for e in range(5)]) for _ in range(reps)])
+    want = _metrics(*[tuple(float(np.mean([run[e][f] for run in runs])) for f in METRICS.names)
+                      for e in range(5)])
+    assert mean_metrics(runs).tobytes() == want.tobytes()
 
 
-def test_mean_metrics_rejects_ragged_runs():
-    a = [MetricsRow(0, 0, 0, 0, 0)]
-    b = [MetricsRow(0, 0, 0, 0, 0), MetricsRow(1, 0, 0, 0, 0)]
-    with pytest.raises(LengthMismatch):
-        mean_metrics([a, b])
+def test_mean_metrics_rejects_no_runs():
+    with pytest.raises(EmptyBatch):
+        mean_metrics(np.recarray((0, 3), METRICS))
