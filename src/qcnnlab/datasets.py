@@ -5,9 +5,9 @@ CSV (one row per image: label then 64 integers 0..16), Fashion-MNIST in its
 native big-endian IDX container, and grayscale photos as binary PGM ("P5")
 files whose class is taken from the filename prefix.  Every loader returns
 one :class:`Dataset`: all images as one (N, H, W) uint8 array of the file's
-levels and the ``scale`` that divides them to [0, 1] (only done here, by
-:meth:`Dataset.pixels`), all labels as one (N,) int64 array, so every image
-of a dataset has the same size.  Loaders refuse malformed records.
+levels and the ``scale`` that divides them to [0, 1] (only by :meth:`Dataset.pixels`,
+which training calls on the subsets it is given), all labels as one (N,) int64
+array, so every image of a dataset has the same size.  Loaders refuse malformed records.
 """
 
 from __future__ import annotations
@@ -288,7 +288,7 @@ def binary_subset(ds: Dataset, class_a: int, class_b: int, n_per_class: int,
     """Draw a balanced two-class train/test split with labels remapped a->0, b->1.
 
     Sampling is without replacement from a seeded shuffle, so the same seed
-    selects the same images and train/test never overlap; both hold float64 pixel values.
+    selects the same images and train/test never overlap; both keep the pool's dtype and scale.
     """
     if n_test % 2:
         raise DatasetError(f"n_test {n_test} must be even for a balanced test set")
@@ -306,5 +306,5 @@ def binary_subset(ds: Dataset, class_a: int, class_b: int, n_per_class: int,
         picked.append(idx[rng.permutation(len(idx))[:need]])
     train = np.concatenate([p[:n_per_class] for p in picked])
     test = np.concatenate([p[n_per_class:] for p in picked])
-    return (Dataset(ds.pixels(train), np.repeat([0, 1], n_per_class)),
-            Dataset(ds.pixels(test), np.repeat([0, 1], n_half)))
+    return (Dataset(ds.images[train], np.repeat([0, 1], n_per_class), ds.scale),
+            Dataset(ds.images[test], np.repeat([0, 1], n_half), ds.scale))

@@ -43,7 +43,7 @@ def embed_columns(images, n_qubits: int) -> np.ndarray:
     if not norms.all():
         raise AllZeroImage("cannot amplitude-embed an all-zero image")
     states = np.zeros((dim, len(values)))
-    states[: values.shape[1]] = (values / norms[:, None]).T
+    np.divide(values.T, norms, out=states[: values.shape[1]])
     return states
 
 

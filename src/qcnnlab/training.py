@@ -244,25 +244,24 @@ def fit(params, train_set, test_set, cfg: TrainConfig, augment_cfg: AugmentConfi
     The metrics are an (epochs,) :data:`METRICS` recarray, one record per
     epoch after its step, so ``rows[-1].test_acc`` is the final test accuracy.
 
-    The model supplies ``encode(images)``, its input for an (m, h, w) image stack;
-    ``bind(params)``, called once per parameter vector; ``forward(bound,
-    batch) -> (outputs, cache)``; ``score(outputs, labels) -> (loss,
-    accuracy)``; and ``backward(bound, cache, labels) -> grads``.  After
-    each step the clean test set and then the clean train set are forwarded
-    and scored, so that only the train forward's cache stays alive, and it
-    is handed to the next step's backward: without augmentation it is that
-    step's own forward.  Augmentation, when enabled, redraws the training
-    images every epoch in one :func:`augment_batch` pass over a stream
-    seeded by [seed, 1]; the scores' cache is then dropped, and the
-    gradient forwards the augmented batch.  A step that leaves a
-    non-finite parameter or loss raises TrainingError, as does a set of levels.
+    The model supplies ``encode(pixels)``, its input for an (m, h, w) float stack that
+    fit divides once from a set's levels by its ``scale``, keeping only the encoding;
+    ``bind(params)``, called once per parameter vector; ``forward(bound, batch) ->
+    (outputs, cache)``; ``score(outputs, labels) -> (loss, accuracy)``; and
+    ``backward(bound, cache, labels) -> grads``.  After each step the clean test set and
+    then the clean train set are forwarded and scored, so that only the train forward's
+    cache stays alive, and it is handed to the next step's backward: without
+    augmentation it is that step's own forward.  Augmentation, when enabled, divides and
+    redraws the training images every epoch in one :func:`augment_batch` pass over a
+    stream seeded by [seed, 1]; the scores' cache is then dropped, and the gradient
+    forwards the augmented batch.  A step that leaves a non-finite parameter or loss
+    raises TrainingError.
     """
-    if train_set.scale != 1 or test_set.scale != 1:
-        raise TrainingError("images must be divided to [0, 1] (scale 1), as binary_subset does")
+    pixels = [train_set.pixels(slice(None)), test_set.pixels(slice(None))]  # popped into encode
     rows = np.recarray(cfg.epochs, METRICS)
     np.empty(_HEAP_TRIM_LIFT)  # allocated and freed at once
     labels = (_check_binary(train_set.labels, "train"), _check_binary(test_set.labels, "test"))
-    clean = (encode(train_set.images), encode(test_set.images))
+    clean = (encode(pixels.pop(0)), encode(pixels.pop()))
     augmenting = augment_cfg is not None and augment_cfg.enabled
     aug_rng = np.random.default_rng([cfg.seed, 1]) if augmenting else None
 
@@ -276,7 +275,8 @@ def fit(params, train_set, test_set, cfg: TrainConfig, augment_cfg: AugmentConfi
         # a diverging step overflows; the finiteness check below reports it
         with np.errstate(over="ignore", invalid="ignore"):
             if augmenting:
-                kept.append(forward(bound, encode(augment_batch(train_set.images, augment_cfg, aug_rng))))
+                kept.append(forward(bound, encode(
+                    augment_batch(train_set.pixels(slice(None)), augment_cfg, aug_rng))))
             grads = backward(bound, kept.pop()[1], labels[0])
             params, moments = adam_step(params, grads, moments, epoch + 1, lr)
             del bound  # free the old parameters' model before the next bind

@@ -489,7 +489,8 @@ def test_binary_subset_equals_the_per_sample_selection(seed, class_a, class_b, n
     got = binary_subset(ds, class_a, class_b, n_per_class, n_test, seed)
     for part, want in zip(got, _per_sample_binary_subset(ds, class_a, class_b, n_per_class,
                                                           n_test, seed)):
-        assert part.images.tobytes() == np.stack([img for img, _ in want]).tobytes()
+        assert part.images.dtype == ds.images.dtype and part.scale == ds.scale
+        assert part.pixels(slice(None)).tobytes() == np.stack([img for img, _ in want]).tobytes()
         assert part.labels.tolist() == [label for _, label in want]
         assert part.labels.dtype == np.int64
 
@@ -525,6 +526,14 @@ def test_pgm_pool_peak_stays_below_one_float_pool(tmp_path, n_per_class, resize)
     _pgm_dir(tmp_path / "pgm", n_per_class, 32, 32)
     cfg = ExperimentConfig(dataset="catdog", data_path=str(tmp_path / "pgm"), resize=resize)
     assert _peak_bytes(load_pool, cfg) < 2 * n_per_class * 32 * 32 * 8
+
+
+def test_subset_of_an_8bit_pool_peaks_below_one_float_set():
+    """Drawn sets keep the pool's levels; only training widens them."""
+    rng = np.random.default_rng(6)
+    pool = Dataset(rng.integers(0, 256, (360, 32, 32), dtype=np.uint8),
+                   np.arange(360) % 2, 255)
+    assert _peak_bytes(binary_subset, pool, 0, 1, 50, 100, 0) < 100 * 32 * 32 * 8
 
 
 def test_resize_pool_in_chunks_is_bitwise_the_whole_float_pool_resize(tmp_path):
@@ -586,6 +595,7 @@ def test_subsets_of_8bit_pools_equal_the_float_pools_bitwise(tmp_path):
             got = binary_subset(pool, 0, 1, 10, 8, seed)
             want = binary_subset(float_pool, 0, 1, 10, 8, seed)
             for part, ref in zip(got, want):
-                assert part.scale == 1 and part.images.dtype == np.float64, name
-                assert part.images.tobytes() == ref.images.tobytes(), name
+                assert part.scale == pool.scale and part.images.dtype == pool.images.dtype, name
+                assert ref.scale == 1 and ref.images.dtype == np.float64, name
+                assert part.pixels(slice(None)).tobytes() == ref.pixels(slice(None)).tobytes(), name
                 assert part.labels.tobytes() == ref.labels.tobytes(), name

@@ -1,18 +1,53 @@
-"""README's "Library use" example runs as printed."""
+"""README's config table, its commands and its "Library use" example agree with the code."""
 
 import os
 import re
+import shlex
 import subprocess
 import sys
+from dataclasses import fields
+
+from qcnnlab.cli import build_parser
+from qcnnlab.harness import _AUTO_EPOCHS, _COERCERS, ExperimentConfig
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
 
 
-def _library_use_block():
+def _readme():
     with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
-        text = fh.read()
-    section = text.split("## Library use", 1)[1]
+        return fh.read()
+
+
+def _library_use_block():
+    section = _readme().split("## Library use", 1)[1]
     return re.search(r"```python\n(.*?)```", section, re.S).group(1)
+
+
+def _key_table():
+    """(key, default) per row of the table under "Keys and defaults:"."""
+    table = _readme().split("Keys and defaults:", 1)[1].strip().split("\n\n", 1)[0]
+    cells = [[c.strip() for c in line.strip("|").split("|")] for line in table.splitlines()]
+    return [(key, default) for key, default, _ in cells[2:]]
+
+
+def test_config_table_lists_every_field_in_order_with_its_default():
+    rows = _key_table()
+    assert [key for key, _ in rows] == [f.name for f in fields(ExperimentConfig)]
+    for f, (key, default) in zip(fields(ExperimentConfig), rows):
+        if key == "epochs":
+            auto = dict(reversed(part.split()) for part in default.split(","))
+            assert {model: int(n) for model, n in auto.items()} == _AUTO_EPOCHS
+            assert f.default == _AUTO_EPOCHS[ExperimentConfig.model]
+        else:
+            assert _COERCERS[key](default) == f.default, key
+
+
+def test_every_command_in_a_sh_block_parses():
+    lines = [line for block in re.findall(r"```sh\n(.*?)```", _readme(), re.S)
+             for line in block.splitlines() if line.startswith("qcnnlab ")]
+    assert len(lines) >= 5
+    for line in lines:
+        build_parser().parse_args(shlex.split(line)[1:])
 
 
 def test_library_use_example_prints_one_accuracy():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from qcnnlab import cnn, simulator, training
-from qcnnlab.augment import AugmentConfig, augment_sample
+from qcnnlab.augment import AugmentConfig, augment_sample, preset
 from qcnnlab.embedding import embed_columns
 from qcnnlab.datasets import Dataset
 from qcnnlab.cnn import build_cnn, cnn_loss_and_grads, train_cnn
@@ -291,17 +291,26 @@ def test_training_with_augmentation_is_deterministic_and_distinct():
     assert rows_plain.tobytes() != rows_a.tobytes()  # the gradient saw different images
 
 
-@pytest.mark.parametrize("which", ["train", "test"])
-def test_fit_refuses_a_set_of_undivided_levels(which):
-    """A loader's 8-bit pool handed straight to training would train on 0..255."""
-    train, test = _toy_sets(np.random.default_rng(13))
-    sets = {"train": train, "test": test}
-    ds = sets[which]
-    sets[which] = Dataset(np.rint(ds.images * 255).astype(np.uint8), ds.labels, 255)
-    with pytest.raises(TrainingError, match="scale"):
-        train_qcnn(build_architecture(6, 1), sets["train"], sets["test"], TrainConfig(epochs=1))
-    with pytest.raises(TrainingError, match="scale"):
-        train_cnn(build_cnn((8, 8), seed=0), sets["train"], sets["test"], TrainConfig(epochs=1))
+@pytest.mark.parametrize("scale", [16, 255])
+@pytest.mark.parametrize("augment", ["none", "digits"])
+@pytest.mark.parametrize("model", ["qcnn", "cnn"])
+def test_fit_on_8bit_levels_is_bitwise_fit_on_divided_pixels(model, augment, scale):
+    """A set of a loader's levels trains exactly as its pixels divided beforehand."""
+    rng = np.random.default_rng(scale)
+    levels = [Dataset(rng.integers(1, scale + 1, (n, 8, 8), dtype=np.uint8), np.arange(n) % 2,
+                      scale) for n in (6, 4)]
+    divided = [Dataset(ds.images / scale, ds.labels) for ds in levels]
+    cfg, aug = TrainConfig(epochs=3, seed=2), preset(augment)
+    runs = []
+    for train, test in (levels, divided):
+        if model == "qcnn":
+            runs.append(train_qcnn(build_architecture(6, 1), train, test, cfg, aug))
+        else:
+            rows, trained = train_cnn(build_cnn((8, 8), seed=2), train, test, cfg, aug)
+            runs.append((rows, trained.pack()))
+    (rows_l, params_l), (rows_d, params_d) = runs
+    assert rows_l.tobytes() == rows_d.tobytes()
+    assert params_l.tobytes() == params_d.tobytes()
 
 
 def test_training_reduces_loss_on_separable_toy_data():
