@@ -5,8 +5,8 @@ amplitudes of a 2**n register (zero-padded past the pixels), which is the
 encoding every experiment in this lab uses.  :func:`embed_columns`
 normalizes a whole stack of images in one pass; :func:`amplitude_embed` is
 its one-image call.  Pixels are real, so embedded states are real float64
-arrays; the first gate applied to them makes them complex, and that
-promotion is exact.
+arrays; the circuit copies them into a complex buffer before its first
+gate, and that promotion is exact.
 """
 
 from __future__ import annotations

@@ -188,13 +188,11 @@ def pauli_word(index: int, r: int) -> str:
     return "".join(reversed(digits))
 
 
-@lru_cache(maxsize=None)
 def pauli_word_matrix(word: str) -> np.ndarray:
-    """Kronecker product of the word's Paulis, built once per word (read-only)."""
+    """Kronecker product of the word's Paulis."""
     m = np.array([[1]], dtype=np.complex128)
     for ch in word:
         m = np.kron(m, PAULIS[ch])
-    m.setflags(write=False)
     return m
 
 
@@ -275,8 +273,12 @@ def _chain_table(depth: int) -> tuple[np.ndarray, np.ndarray]:
 
 @lru_cache(maxsize=None)
 def _readout_words(r: int) -> np.ndarray:
-    """The readout's (4**r - 1, 2**r, 2**r) Pauli words in gate order, built once per r."""
-    return np.stack([pauli_word_matrix(pauli_word(k, r)) for k in range(1, 4**r)])
+    """The readout's (4**r - 1, 2**r, 2**r) Pauli words in gate order, built once per r by
+    broadcast products, element for element those of :func:`pauli_word_matrix`'s ``np.kron``."""
+    paulis, w = np.stack([PAULIS[ch] for ch in "IXYZ"])[None, :, None, :, None, :], np.ones((1, 1, 1))
+    for _ in range(r):
+        w = (w[:, None, :, None, :, None] * paulis).reshape(4 * len(w), 2 * len(w[0]), -1)
+    return w[1:]  # drop the identity word
 
 
 def _u3_stacks(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -371,13 +373,18 @@ def run_columns(arch: Architecture, ops, states: np.ndarray) -> tuple[np.ndarray
 
     Returns (final states, class-1 probability per column).  One gather per
     block (:func:`_layout_plan`); every QCNN forward but the oracle's runs here.
+    Two complex buffers: the first gather copies ``states`` (left unmodified) into one, and
+    each block multiplies it into the other and ``take``s it back ("clip" writes ``out``
+    unbuffered, "raise" would not).
     """
     gathers = _layout_plan(tuple([op.targets for op in ops]), arch.n_qubits)[0]
-    for op, gather in zip(ops, gathers):
-        states = (op.matrix @ states[gather].reshape(len(op.matrix), -1)).reshape(states.shape)
-    states = states[gathers[-1]]
-    mask = ((np.arange(states.shape[0]) >> arch.readout_wire) & 1).astype(bool)
-    return states, np.sum(np.abs(states[mask]) ** 2, axis=0)
+    cur, buf = states[gathers[0]].astype(np.complex128, copy=False), np.empty(states.shape, np.complex128)
+    for op, gather in zip(ops, gathers[1:]):
+        np.matmul(op.matrix, cur.reshape(len(op.matrix), -1), out=buf.reshape(len(op.matrix), -1))
+        np.take(buf, gather, axis=0, out=cur, mode="clip")
+    del buf  # freed before the readout's temporaries
+    mask = ((np.arange(cur.shape[0]) >> arch.readout_wire) & 1).astype(bool)
+    return cur, np.sum(np.abs(cur[mask]) ** 2, axis=0)
 
 
 def forward(arch: Architecture, params, pixels) -> float:

@@ -14,7 +14,9 @@ the one forward cache for both: it binds each parameter vector once (for the
 QCNN, one circuit build, every block with its derivatives from one
 closed-form table), and without augmentation hands the metrics' train-set
 forward after a step to the next step's backward.  An epoch augments (if
-enabled) and embeds its batch in one array pass.
+enabled) and embeds its batch in one array pass.  The QCNN's clean sets stay
+8-bit and are embedded at each forward: a forward holds two (2**n, m)
+complex states and the adjoint sweep three.
 """
 
 from __future__ import annotations
@@ -238,37 +240,42 @@ _HEAP_TRIM_LIFT = 1 << 20
 
 
 def fit(params, train_set, test_set, cfg: TrainConfig, augment_cfg: AugmentConfig | None,
-        *, encode, bind, forward, score, backward):
+        *, encode, bind, forward, score, backward, keep_levels: bool = False):
     """Full-batch Adam training; returns (metrics, final params).
 
     The metrics are an (epochs,) :data:`METRICS` recarray, one record per
     epoch after its step, so ``rows[-1].test_acc`` is the final test accuracy.
 
     The model supplies ``encode(pixels)``, its input for an (m, h, w) float stack that
-    fit divides once from a set's levels by its ``scale``, keeping only the encoding;
-    ``bind(params)``, called once per parameter vector; ``forward(bound, batch) ->
-    (outputs, cache)``; ``score(outputs, labels) -> (loss, accuracy)``; and
-    ``backward(bound, cache, labels) -> grads``.  After each step the clean test set and
-    then the clean train set are forwarded and scored, so that only the train forward's
-    cache stays alive, and it is handed to the next step's backward: without
-    augmentation it is that step's own forward.  Augmentation, when enabled, divides and
-    redraws the training images every epoch in one :func:`augment_batch` pass over a
-    stream seeded by [seed, 1]; the scores' cache is then dropped, and the gradient
-    forwards the augmented batch.  A step that leaves a non-finite parameter or loss
-    raises TrainingError.
+    fit divides from a set's levels by its ``scale``; ``bind(params)``, called once per
+    parameter vector; ``forward(bound, batch) -> (outputs, cache)``; ``score(outputs,
+    labels) -> (loss, accuracy)``; and ``backward(bound, cache, labels) -> grads``.
+    A clean set is encoded once, or with ``keep_levels`` (the QCNN) stays 8-bit and is
+    encoded at each forward, so a QCNN fit holds two states in a forward, three in its sweep.
+
+    After each step the clean test set and then the clean train set are forwarded and
+    scored, so that only the train forward's cache stays alive, and it is handed to the
+    next step's backward: without augmentation it is that step's own forward.
+    Augmentation, when enabled, divides and redraws the training images every epoch in
+    one :func:`augment_batch` pass over a stream seeded by [seed, 1]; the scores' cache
+    is then dropped, and the gradient forwards the augmented batch.  A step that leaves
+    a non-finite parameter or loss raises TrainingError.
     """
-    pixels = [train_set.pixels(slice(None)), test_set.pixels(slice(None))]  # popped into encode
+    pixels = [] if keep_levels else [train_set.pixels(slice(None)), test_set.pixels(slice(None))]
     rows = np.recarray(cfg.epochs, METRICS)
     np.empty(_HEAP_TRIM_LIFT)  # allocated and freed at once
     labels = (_check_binary(train_set.labels, "train"), _check_binary(test_set.labels, "test"))
-    clean = (encode(pixels.pop(0)), encode(pixels.pop()))
+    clean = () if keep_levels else (encode(pixels.pop(0)), encode(pixels.pop()))  # popped into encode
+    # clean set i as the model's input
+    inputs = clean.__getitem__ if clean else lambda i: encode((train_set, test_set)[i].pixels(slice(None)))
+
     augmenting = augment_cfg is not None and augment_cfg.enabled
     aug_rng = np.random.default_rng([cfg.seed, 1]) if augmenting else None
 
     bound = bind(params)
     # (outputs, cache) of the forward the next backward starts from; popped
     # straight into that call, so that no name here keeps the cache alive
-    kept = [] if augmenting else [forward(bound, clean[0])]
+    kept = [] if augmenting else [forward(bound, inputs(0))]
     moments = None
     for epoch in range(cfg.epochs):
         lr = lr_at(epoch, cfg)
@@ -281,8 +288,8 @@ def fit(params, train_set, test_set, cfg: TrainConfig, augment_cfg: AugmentConfi
             params, moments = adam_step(params, grads, moments, epoch + 1, lr)
             del bound  # free the old parameters' model before the next bind
             bound = bind(params)
-            test_out = forward(bound, clean[1])[0]
-            kept.append(forward(bound, clean[0]))
+            test_out = forward(bound, inputs(1))[0]
+            kept.append(forward(bound, inputs(0)))
             tr_loss, tr_acc = score(kept[-1][0], labels[0])
             te_loss, te_acc = score(test_out, labels[1])
         if augmenting:
@@ -308,7 +315,7 @@ def train_qcnn(arch: Architecture, train_set, test_set, cfg: TrainConfig,
     return fit(init_params(arch, cfg.seed), train_set, test_set, cfg, augment_cfg,
                encode=partial(embed_columns, n_qubits=arch.n_qubits),
                bind=partial(circuit_ops, arch), forward=partial(_forward, arch),
-               score=_score, backward=partial(_backward, arch))
+               score=_score, backward=partial(_backward, arch), keep_levels=True)
 
 
 # ---------------------------------------------------------------------------

@@ -538,6 +538,28 @@ def test_run_columns_and_backward_are_bitwise_the_two_gather_reference(n, d, m):
                           two_gather_backward(arch, ops, want, p1s, labels))
 
 
+@pytest.mark.parametrize("n, d", PLAN_SHAPES)
+def test_run_columns_takes_real_and_complex_states_alike_and_leaves_them_unmodified(n, d):
+    rng = np.random.default_rng(40 + n)
+    arch = qcnn.build_architecture(n, d)
+    ops = qcnn.circuit_ops(arch, rng.uniform(-np.pi, np.pi, arch.param_count))
+    real = embed_columns(rng.random((3, 2**n)), n)
+    runs = []
+    for cols in (real, real.astype(np.complex128)):
+        before = cols.copy()
+        runs.append(qcnn.run_columns(arch, ops, cols))
+        assert cols.tobytes() == before.tobytes()
+    (ket_r, p1s_r), (ket_c, p1s_c) = runs
+    assert ket_r.dtype == ket_c.dtype == np.complex128
+    assert ket_r.tobytes() == ket_c.tobytes() and p1s_r.tobytes() == p1s_c.tobytes()
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_readout_words_are_bitwise_the_per_word_kron_products(r):
+    words = np.stack([qcnn.pauli_word_matrix(qcnn.pauli_word(k, r)) for k in range(1, 4**r)])
+    assert qcnn._readout_words(r).tobytes() == words.tobytes()  # signs of zero included
+
+
 @pytest.mark.parametrize("kernel", ["run_columns", "apply_gate"])
 def test_repeated_gate_calls_hold_no_memory(kernel):
     """Target tuples are built from lists.  Built from a generator, a tuple is

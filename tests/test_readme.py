@@ -7,7 +7,7 @@ import subprocess
 import sys
 from dataclasses import fields
 
-from qcnnlab.cli import build_parser
+from qcnnlab.cli import build_parser, main
 from qcnnlab.harness import _AUTO_EPOCHS, _COERCERS, ExperimentConfig
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
@@ -21,6 +21,20 @@ def _readme():
 def _library_use_block():
     section = _readme().split("## Library use", 1)[1]
     return re.search(r"```python\n(.*?)```", section, re.S).group(1)
+
+
+def _named_files(heading):
+    """The file names in backticks under ``### heading``, each ``<k>`` as 0 and 1."""
+    section = _readme().split(f"### {heading}\n", 1)[1].split("\n#", 1)[0]
+    names = re.findall(r"`([\w<>]+\.(?:csv|cfg|txt)|\w+/)`", section)
+    return {name.replace("<k>", str(k)) for name in names for k in (0, 1)}
+
+
+def _written(tmp_path, *argv):
+    out = tmp_path / argv[0]
+    assert main([*argv, "--out", str(out), "--repetitions", "2", "--epochs", "1",
+                 "--data-path", os.path.join(ROOT, "data", "digits.csv")]) == 0
+    return {str(p.relative_to(out)) for p in out.rglob("*") if p.is_file()}
 
 
 def _key_table():
@@ -59,3 +73,17 @@ def test_library_use_example_prints_one_accuracy():
     printed = proc.stdout.split()
     assert len(printed) == 1
     assert 0.0 <= float(printed[0]) <= 1.0
+
+
+def test_output_files_section_names_the_files_of_a_two_repetition_run(tmp_path):
+    assert _written(tmp_path, "train-qcnn") == _named_files("Output files")
+
+
+def test_augmentation_comparisons_section_names_the_files_of_compare_da(tmp_path):
+    """comparison.csv and .txt, and one run's "Output files" in each arm's subtree."""
+    named = _named_files("Augmentation comparisons")
+    arms = {name for name in named if name.endswith("/")}
+    assert arms == {"no_da/", "da/"}
+    cell = _named_files("Output files")
+    want = (named - arms) | {arm + name for arm in arms for name in cell}
+    assert _written(tmp_path, "compare-da") == want

@@ -1,5 +1,6 @@
 """Tests for loss, gradient engines, Adam, and the training loop."""
 
+import tracemalloc
 import weakref
 from dataclasses import replace
 
@@ -489,6 +490,27 @@ def test_the_sweep_frees_the_forward_states_block_by_block(monkeypatch, aug):
     blocks = len(circuit_ops(arch, init_params(arch, 1)))
     assert at_forward == [0] * len(at_forward)
     assert at_block == [0] * blocks * 3
+
+
+def test_a_ten_qubit_fit_holds_at_most_three_states_and_a_half(monkeypatch):
+    """The adjoint sweep's three (2**n, m) complex states set the live peak: a
+    forward holds two, and the clean sets stay 8-bit between forwards.  Four
+    states (a float64 embedding of each clean set kept for the whole run) fail.
+    The heap lift's 8 MB block is shrunk, or it would set tracemalloc's peak."""
+    monkeypatch.setattr(training, "_HEAP_TRIM_LIFT", 1)
+    rng = np.random.default_rng(21)
+    train, test = (Dataset(rng.integers(1, 256, (64, 32, 32), dtype=np.uint8), np.arange(64) % 2, 255)
+                   for _ in range(2))
+    arch, cfg = build_architecture(10, 2), TrainConfig(epochs=2, seed=0)
+    train_qcnn(arch, train, test, cfg)  # fills the plan and word caches
+    state = 16 * 2**10 * 64
+    tracemalloc.start()
+    try:
+        train_qcnn(arch, train, test, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5 * state + 256 * 1024  # slack: one circuit build and the metrics
 
 
 def test_a_run_builds_one_layout_plan_per_architecture():
