@@ -273,12 +273,8 @@ def _chain_table(depth: int) -> tuple[np.ndarray, np.ndarray]:
 
 @lru_cache(maxsize=None)
 def _readout_words(r: int) -> np.ndarray:
-    """The readout's (4**r - 1, 2**r, 2**r) Pauli words in gate order, built once per r by
-    broadcast products, element for element those of :func:`pauli_word_matrix`'s ``np.kron``."""
-    paulis, w = np.stack([PAULIS[ch] for ch in "IXYZ"])[None, :, None, :, None, :], np.ones((1, 1, 1))
-    for _ in range(r):
-        w = (w[:, None, :, None, :, None] * paulis).reshape(4 * len(w), 2 * len(w[0]), -1)
-    return w[1:]  # drop the identity word
+    """The readout's (4**r - 1, 2**r, 2**r) Pauli words in gate order, built once per r."""
+    return np.stack([pauli_word_matrix(pauli_word(k, r)) for k in range(1, 4**r)])
 
 
 def _u3_stacks(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -373,9 +369,9 @@ def run_columns(arch: Architecture, ops, states: np.ndarray) -> tuple[np.ndarray
 
     Returns (final states, class-1 probability per column).  One gather per
     block (:func:`_layout_plan`); every QCNN forward but the oracle's runs here.
-    Two complex buffers: the first gather copies ``states`` (left unmodified) into one, and
-    each block multiplies it into the other and ``take``s it back ("clip" writes ``out``
-    unbuffered, "raise" would not).
+    It holds two (2**n, m) complex state buffers: the first gather copies ``states`` (left
+    unmodified) into one, and each block multiplies it into the other and ``take``s it back
+    ("clip" writes ``out`` unbuffered, "raise" would not).
     """
     gathers = _layout_plan(tuple([op.targets for op in ops]), arch.n_qubits)[0]
     cur, buf = states[gathers[0]].astype(np.complex128, copy=False), np.empty(states.shape, np.complex128)

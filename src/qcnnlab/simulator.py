@@ -10,8 +10,6 @@ multi-qubit gate the first entry of ``targets`` addresses the most
 significant bit of the gate's own index.  The checked one-gate kernel gathers
 the target bits into the leading rows, multiplies and scatters back; a circuit
 runs one cached, composed gather per gate and scatters back once at the end.
-The QCNN's training keeps its image sets 8-bit and embeds them at each forward,
-which holds two complex state buffers; the adjoint sweep holds three.
 
 All amplitudes are double precision; the unitarity and norm tolerances used
 by the test suite (1e-10 / 1e-12) assume that.  Global phase is never

@@ -14,9 +14,7 @@ the one forward cache for both: it binds each parameter vector once (for the
 QCNN, one circuit build, every block with its derivatives from one
 closed-form table), and without augmentation hands the metrics' train-set
 forward after a step to the next step's backward.  An epoch augments (if
-enabled) and embeds its batch in one array pass.  The QCNN's clean sets stay
-8-bit and are embedded at each forward: a forward holds two (2**n, m)
-complex states and the adjoint sweep three.
+enabled) and embeds its batch in one array pass.
 """
 
 from __future__ import annotations
@@ -151,6 +149,8 @@ def _backward(arch: Architecture, ops, cache: list, labels) -> np.ndarray:
     accumulate over every block they drive.  One gather per block moves ket
     and bra between layouts (:func:`_layout_plan`); the sweep empties ``cache``
     so that its first gather frees the forward's states, whoever holds the list.
+    It holds three (2**n, m) complex states: bra, ket, and the new copy that each gather
+    or product makes of one of them.
     """
     labels = np.asarray(labels, dtype=np.float64).reshape(-1)
     ket, p1s = cache
@@ -240,7 +240,7 @@ _HEAP_TRIM_LIFT = 1 << 20
 
 
 def fit(params, train_set, test_set, cfg: TrainConfig, augment_cfg: AugmentConfig | None,
-        *, encode, bind, forward, score, backward, keep_levels: bool = False):
+        *, encode, bind, forward, score, backward):
     """Full-batch Adam training; returns (metrics, final params).
 
     The metrics are an (epochs,) :data:`METRICS` recarray, one record per
@@ -250,8 +250,8 @@ def fit(params, train_set, test_set, cfg: TrainConfig, augment_cfg: AugmentConfi
     fit divides from a set's levels by its ``scale``; ``bind(params)``, called once per
     parameter vector; ``forward(bound, batch) -> (outputs, cache)``; ``score(outputs,
     labels) -> (loss, accuracy)``; and ``backward(bound, cache, labels) -> grads``.
-    A clean set is encoded once, or with ``keep_levels`` (the QCNN) stays 8-bit and is
-    encoded at each forward, so a QCNN fit holds two states in a forward, three in its sweep.
+    The clean sets stay in their 8-bit levels for the whole run: each forward that reads
+    one divides and encodes it afresh, and fit keeps no encoded copy of its own.
 
     After each step the clean test set and then the clean train set are forwarded and
     scored, so that only the train forward's cache stays alive, and it is handed to the
@@ -261,14 +261,10 @@ def fit(params, train_set, test_set, cfg: TrainConfig, augment_cfg: AugmentConfi
     is then dropped, and the gradient forwards the augmented batch.  A step that leaves
     a non-finite parameter or loss raises TrainingError.
     """
-    pixels = [] if keep_levels else [train_set.pixels(slice(None)), test_set.pixels(slice(None))]
     rows = np.recarray(cfg.epochs, METRICS)
     np.empty(_HEAP_TRIM_LIFT)  # allocated and freed at once
     labels = (_check_binary(train_set.labels, "train"), _check_binary(test_set.labels, "test"))
-    clean = () if keep_levels else (encode(pixels.pop(0)), encode(pixels.pop()))  # popped into encode
-    # clean set i as the model's input
-    inputs = clean.__getitem__ if clean else lambda i: encode((train_set, test_set)[i].pixels(slice(None)))
-
+    inputs = lambda i: encode((train_set, test_set)[i].pixels(slice(None)))  # clean set i
     augmenting = augment_cfg is not None and augment_cfg.enabled
     aug_rng = np.random.default_rng([cfg.seed, 1]) if augmenting else None
 
@@ -315,7 +311,7 @@ def train_qcnn(arch: Architecture, train_set, test_set, cfg: TrainConfig,
     return fit(init_params(arch, cfg.seed), train_set, test_set, cfg, augment_cfg,
                encode=partial(embed_columns, n_qubits=arch.n_qubits),
                bind=partial(circuit_ops, arch), forward=partial(_forward, arch),
-               score=_score, backward=partial(_backward, arch), keep_levels=True)
+               score=_score, backward=partial(_backward, arch))
 
 
 # ---------------------------------------------------------------------------

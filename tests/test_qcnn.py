@@ -554,12 +554,6 @@ def test_run_columns_takes_real_and_complex_states_alike_and_leaves_them_unmodif
     assert ket_r.tobytes() == ket_c.tobytes() and p1s_r.tobytes() == p1s_c.tobytes()
 
 
-@pytest.mark.parametrize("r", [1, 2, 3, 4])
-def test_readout_words_are_bitwise_the_per_word_kron_products(r):
-    words = np.stack([qcnn.pauli_word_matrix(qcnn.pauli_word(k, r)) for k in range(1, 4**r)])
-    assert qcnn._readout_words(r).tobytes() == words.tobytes()  # signs of zero included
-
-
 @pytest.mark.parametrize("kernel", ["run_columns", "apply_gate"])
 def test_repeated_gate_calls_hold_no_memory(kernel):
     """Target tuples are built from lists.  Built from a generator, a tuple is
