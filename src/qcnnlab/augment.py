@@ -23,14 +23,6 @@ class AugmentError(ValueError):
     pass
 
 
-class AngleOutOfBounds(AugmentError):
-    pass
-
-
-class FactorOutOfBounds(AugmentError):
-    pass
-
-
 DEFAULT_MAX_ROTATION = 0.05  # radians
 DEFAULT_CONTRAST_RANGE = (0.9, 1.1)
 
@@ -127,7 +119,7 @@ def rotate(img: np.ndarray, angle: float) -> np.ndarray:
     Samples falling outside the frame read as 0; output is clamped to [0, 1].
     """
     if abs(angle) > DEFAULT_MAX_ROTATION + 1e-12:
-        raise AngleOutOfBounds(f"|{angle}| exceeds the {DEFAULT_MAX_ROTATION} radian bound")
+        raise AugmentError(f"|{angle}| exceeds the {DEFAULT_MAX_ROTATION} radian bound")
     return _transform(_one(img), angles=np.array([angle], dtype=np.float64))[0]
 
 
@@ -135,7 +127,7 @@ def contrast(img: np.ndarray, factor: float) -> np.ndarray:
     """Scale deviations from the image mean by ``factor``, clamped to [0, 1]."""
     lo, hi = DEFAULT_CONTRAST_RANGE
     if not lo <= factor <= hi:
-        raise FactorOutOfBounds(f"factor {factor} outside [{lo}, {hi}]")
+        raise AugmentError(f"factor {factor} outside [{lo}, {hi}]")
     return _transform(_one(img), factors=np.array([factor], dtype=np.float64))[0]
 
 

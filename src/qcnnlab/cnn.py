@@ -32,7 +32,7 @@ from functools import lru_cache
 import numpy as np
 
 from .augment import AugmentConfig
-from .training import ShapeMismatch, TrainConfig, fit
+from .training import TrainConfig, TrainingError, fit
 
 
 @dataclass(frozen=True)
@@ -59,7 +59,7 @@ class CnnModel:
         """A copy of this model with weights taken from a flat vector."""
         flat = np.asarray(flat, dtype=np.float64)
         if flat.size != self.n_params:
-            raise ShapeMismatch(f"expected {self.n_params} weights, got {flat.size}")
+            raise TrainingError(f"expected {self.n_params} weights, got {flat.size}")
         out, pos = [], 0
         for a in self._arrays():
             out.append(flat[pos : pos + a.size].reshape(a.shape))
@@ -79,7 +79,7 @@ def build_cnn(input_hw: tuple[int, int], seed: int) -> CnnModel:
     """Seeded init: every weight uniform in +-1/sqrt(fan_in)."""
     h, w = input_hw
     if h < 2 or w < 2:
-        raise ShapeMismatch(f"input {h}x{w} too small to pool")
+        raise TrainingError(f"input {h}x{w} too small to pool")
     rng = np.random.default_rng(seed)
 
     kernels, biases, c_in = [], [], 1
@@ -90,7 +90,7 @@ def build_cnn(input_hw: tuple[int, int], seed: int) -> CnnModel:
         c_in = filters
         h, w = h // 2, w // 2
         if h < 1 or w < 1:
-            raise ShapeMismatch("input too small for the conv/pool stack")
+            raise TrainingError("input too small for the conv/pool stack")
 
     flat_dim = h * w * c_in
     bound = 1.0 / np.sqrt(flat_dim)
@@ -141,7 +141,7 @@ def conv2d(x: np.ndarray, kernels: np.ndarray, biases: np.ndarray) -> np.ndarray
     """Stride-1 cross-correlation with "same" zero padding, plus bias."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 4 or kernels.ndim != 4 or x.shape[3] != kernels.shape[2]:
-        raise ShapeMismatch(f"conv input {x.shape} vs kernels {kernels.shape}")
+        raise TrainingError(f"conv input {x.shape} vs kernels {kernels.shape}")
     return _conv_rows(x, kernels, biases).reshape(*x.shape[:3], kernels.shape[3])
 
 

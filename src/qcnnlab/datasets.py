@@ -24,42 +24,6 @@ class DatasetError(ValueError):
     pass
 
 
-class MalformedRow(DatasetError):
-    pass
-
-
-class BadMagic(DatasetError):
-    pass
-
-
-class CountMismatch(DatasetError):
-    pass
-
-
-class TruncatedFile(DatasetError):
-    pass
-
-
-class UnsupportedPgm(DatasetError):
-    pass
-
-
-class UnknownClassPrefix(DatasetError):
-    pass
-
-
-class NonIntegerFactor(DatasetError):
-    pass
-
-
-class InsufficientSamples(DatasetError):
-    pass
-
-
-class MixedImageSizes(DatasetError):
-    pass
-
-
 @dataclass(frozen=True)
 class Dataset:
     """Grayscale images as one (N, H, W) array whose pixel values are ``images /
@@ -111,18 +75,18 @@ def _parse_digits_rows(path) -> Dataset:
                 continue
             fields = line.split(",")
             if len(fields) != DIGITS_FIELDS:
-                raise MalformedRow(
+                raise DatasetError(
                     f"{path}:{lineno}: expected {DIGITS_FIELDS} fields, got {len(fields)}")
             try:
                 values = [int(f) for f in fields]
             except ValueError as exc:
-                raise MalformedRow(f"{path}:{lineno}: non-integer field ({exc})") from exc
+                raise DatasetError(f"{path}:{lineno}: non-integer field ({exc})") from exc
             label, pixels = values[0], values[1:]
             if not 0 <= label <= 9:
-                raise MalformedRow(f"{path}:{lineno}: label {label} outside 0..9")
+                raise DatasetError(f"{path}:{lineno}: label {label} outside 0..9")
             bad = [v for v in pixels if not 0 <= v <= DIGITS_MAX]
             if bad:
-                raise MalformedRow(
+                raise DatasetError(
                     f"{path}:{lineno}: pixel value {bad[0]} outside 0..{DIGITS_MAX}")
             raw.extend(values)
     rows = np.frombuffer(raw, dtype=np.uint8).reshape(-1, DIGITS_FIELDS)
@@ -148,7 +112,7 @@ IDX_LABEL_MAGIC = 0x00000801
 def _read_exact(fh, n: int, path, what: str) -> bytes:
     buf = fh.read(n)
     if len(buf) != n:
-        raise TruncatedFile(f"{path}: wanted {n} bytes for {what}, got {len(buf)}")
+        raise DatasetError(f"{path}: wanted {n} bytes for {what}, got {len(buf)}")
     return buf
 
 
@@ -158,7 +122,7 @@ def load_idx(images_path: str | os.PathLike, labels_path: str | os.PathLike) -> 
         magic, count, rows, cols = np.frombuffer(
             _read_exact(fh, 16, images_path, "image header"), dtype=">u4")
         if magic != IDX_IMAGE_MAGIC:
-            raise BadMagic(f"{images_path}: magic {magic:#010x}, wanted {IDX_IMAGE_MAGIC:#010x}")
+            raise DatasetError(f"{images_path}: magic {magic:#010x}, wanted {IDX_IMAGE_MAGIC:#010x}")
         raw = _read_exact(fh, int(count) * int(rows) * int(cols), images_path, "pixel data")
     images = np.frombuffer(raw, dtype=np.uint8).reshape(int(count), int(rows), int(cols))
 
@@ -166,12 +130,12 @@ def load_idx(images_path: str | os.PathLike, labels_path: str | os.PathLike) -> 
         magic, n_labels = np.frombuffer(
             _read_exact(fh, 8, labels_path, "label header"), dtype=">u4")
         if magic != IDX_LABEL_MAGIC:
-            raise BadMagic(f"{labels_path}: magic {magic:#010x}, wanted {IDX_LABEL_MAGIC:#010x}")
+            raise DatasetError(f"{labels_path}: magic {magic:#010x}, wanted {IDX_LABEL_MAGIC:#010x}")
         labels = np.frombuffer(_read_exact(fh, int(n_labels), labels_path, "labels"),
                                dtype=np.uint8)
 
     if int(count) != int(n_labels):
-        raise CountMismatch(f"{count} images vs {n_labels} labels")
+        raise DatasetError(f"{count} images vs {n_labels} labels")
 
     return Dataset(images, labels.astype(np.int64), 255)
 
@@ -183,9 +147,9 @@ def load_idx(images_path: str | os.PathLike, labels_path: str | os.PathLike) -> 
 def _parse_pgm_header(data: bytes, path) -> tuple[int, int, int]:
     """Return (width, height, data offset); only 8-bit binary P5 accepted."""
     if data[:2] == b"P2":
-        raise UnsupportedPgm(f"{path}: ASCII 'P2' files not supported, convert to binary 'P5'")
+        raise DatasetError(f"{path}: ASCII 'P2' files not supported, convert to binary 'P5'")
     if data[:2] != b"P5":
-        raise UnsupportedPgm(f"{path}: not a PGM file (no 'P5' signature)")
+        raise DatasetError(f"{path}: not a PGM file (no 'P5' signature)")
     # header = magic, width, height, maxval as whitespace-separated tokens;
     # '#' starts a comment running to end of line
     tokens, pos = [], 2
@@ -200,15 +164,15 @@ def _parse_pgm_header(data: bytes, path) -> tuple[int, int, int]:
         while pos < len(data) and not data[pos : pos + 1].isspace():
             pos += 1
         if start == pos:
-            raise UnsupportedPgm(f"{path}: truncated header")
+            raise DatasetError(f"{path}: truncated header")
         tokens.append(data[start:pos])
     pos += 1  # single whitespace byte after maxval, then raster data
     try:
         width, height, maxval = (int(t) for t in tokens)
     except ValueError:
-        raise UnsupportedPgm(f"{path}: non-numeric header fields {tokens}") from None
+        raise DatasetError(f"{path}: non-numeric header fields {tokens}") from None
     if maxval != 255:
-        raise UnsupportedPgm(f"{path}: maxval {maxval}, only 255 supported")
+        raise DatasetError(f"{path}: maxval {maxval}, only 255 supported")
     return width, height, pos
 
 
@@ -220,7 +184,7 @@ def _pgm_levels(path) -> np.ndarray:
     need = width * height
     raster = data[offset : offset + need]
     if len(raster) != need:
-        raise TruncatedFile(f"{path}: wanted {need} raster bytes, got {len(raster)}")
+        raise DatasetError(f"{path}: wanted {need} raster bytes, got {len(raster)}")
     return np.frombuffer(raster, dtype=np.uint8).reshape(height, width)
 
 
@@ -245,13 +209,13 @@ def load_pgm_dir(directory: str | os.PathLike, class_map: dict[str, int]) -> Dat
     for k, name in enumerate(names):
         prefixes = [p for p in class_map if name.startswith(p)]
         if not prefixes:
-            raise UnknownClassPrefix(
+            raise DatasetError(
                 f"{name}: no prefix from {sorted(class_map)} matches")
         img = _pgm_levels(os.path.join(directory, name))
         if images is None:
             images = np.empty((len(names),) + img.shape, dtype=np.uint8)
         elif img.shape != images.shape[1:]:
-            raise MixedImageSizes(
+            raise DatasetError(
                 f"{name} is {img.shape[0]}x{img.shape[1]} but {names[0]} is "
                 f"{images.shape[1]}x{images.shape[2]}; all images in {directory} "
                 "must have one size")
@@ -272,7 +236,7 @@ def resize_area(images: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     images = np.asarray(images, dtype=np.float64)
     h, w = images.shape[-2:]
     if out_h <= 0 or out_w <= 0 or h % out_h or w % out_w:
-        raise NonIntegerFactor(f"cannot block-average {h}x{w} to {out_h}x{out_w}")
+        raise DatasetError(f"cannot block-average {h}x{w} to {out_h}x{out_w}")
     fh, fw = h // out_h, w // out_w
     return images.reshape(images.shape[:-2] + (out_h, fh, out_w, fw)).mean(axis=(-3, -1))
 
@@ -301,7 +265,7 @@ def binary_subset(ds: Dataset, class_a: int, class_b: int, n_per_class: int,
         idx = np.flatnonzero(ds.labels == cls)
         need = n_per_class + n_half
         if len(idx) < need:
-            raise InsufficientSamples(
+            raise DatasetError(
                 f"class {cls}: need {need} samples, dataset has {len(idx)}")
         picked.append(idx[rng.permutation(len(idx))[:need]])
     train = np.concatenate([p[:n_per_class] for p in picked])

@@ -18,14 +18,6 @@ class EmbeddingError(ValueError):
     pass
 
 
-class AllZeroImage(EmbeddingError):
-    pass
-
-
-class RegisterTooSmall(EmbeddingError):
-    pass
-
-
 def embed_columns(images, n_qubits: int) -> np.ndarray:
     """Amplitude embeddings of a stack of images as the columns of a (2**n, m) matrix.
 
@@ -37,11 +29,11 @@ def embed_columns(images, n_qubits: int) -> np.ndarray:
     values = values.reshape(len(values), -1)
     dim = 2**n_qubits
     if values.shape[1] > dim:
-        raise RegisterTooSmall(f"{values.shape[1]} pixels need more than {n_qubits} qubits")
+        raise EmbeddingError(f"{values.shape[1]} pixels need more than {n_qubits} qubits")
     # each (1, n) @ (n, 1) product sums like norm(row); norm(values, axis=1) does not
     norms = np.sqrt((values[:, None, :] @ values[:, :, None])[:, 0, 0])
     if not norms.all():
-        raise AllZeroImage("cannot amplitude-embed an all-zero image")
+        raise EmbeddingError("cannot amplitude-embed an all-zero image")
     states = np.zeros((dim, len(values)))
     np.divide(values.T, norms, out=states[: values.shape[1]])
     return states

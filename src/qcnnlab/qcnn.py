@@ -50,14 +50,6 @@ class QcnnError(ValueError):
     pass
 
 
-class TooDeep(QcnnError):
-    pass
-
-
-class WeightLengthMismatch(QcnnError):
-    pass
-
-
 CONV_WEIGHTS = 15
 POOL_WEIGHTS = 3
 BLOCK_WEIGHTS = CONV_WEIGHTS + POOL_WEIGHTS
@@ -96,7 +88,7 @@ def build_architecture(n_qubits: int, depth: int) -> Architecture:
     per_depth = []
     for _ in range(depth):
         if len(wires) < 2:
-            raise TooDeep(f"depth {depth} exhausts a {n_qubits}-qubit register")
+            raise QcnnError(f"depth {depth} exhausts a {n_qubits}-qubit register")
         per_depth.append(wires)
         wires = wires[0::2]
     return Architecture(n_qubits, depth, tuple(per_depth), wires)
@@ -106,7 +98,7 @@ def split_params(arch: Architecture, params) -> tuple[list[tuple[np.ndarray, np.
     """Split a flat parameter vector into per-depth (conv, pool) blocks + final layer."""
     params = np.asarray(params, dtype=np.float64).reshape(-1)
     if len(params) != arch.param_count:
-        raise WeightLengthMismatch(
+        raise QcnnError(
             f"expected {arch.param_count} parameters for n={arch.n_qubits}, "
             f"depth={arch.depth}; got {len(params)}"
         )
@@ -147,7 +139,7 @@ def conv_block_ops(weights15, wires, first_depth: bool) -> list[GateOp]:
     """
     w = np.asarray(weights15, dtype=np.float64)
     if len(w) != CONV_WEIGHTS:
-        raise WeightLengthMismatch(f"convolution takes {CONV_WEIGHTS} weights, got {len(w)}")
+        raise QcnnError(f"convolution takes {CONV_WEIGHTS} weights, got {len(w)}")
     if len(wires) < 2:
         raise QcnnError("convolution needs at least 2 wires")
     ops: list[GateOp] = []
@@ -173,7 +165,7 @@ def pool_block_ops(weights3, wires) -> list[GateOp]:
     """
     w = np.asarray(weights3, dtype=np.float64)
     if len(w) != POOL_WEIGHTS:
-        raise WeightLengthMismatch(f"pooling takes {POOL_WEIGHTS} weights, got {len(w)}")
+        raise QcnnError(f"pooling takes {POOL_WEIGHTS} weights, got {len(w)}")
     if len(wires) < 2:
         raise QcnnError("pooling needs at least 2 wires")
     return [GateOp(controlled(u3_matrix(*w)), (wires[j], wires[j - 1])) for j in range(1, len(wires), 2)]
@@ -211,7 +203,7 @@ def flatten_block_ops(weights, wires) -> list[GateOp]:
     r = len(wires)
     w = np.asarray(weights, dtype=np.float64)
     if len(w) != 4**r - 1:
-        raise WeightLengthMismatch(f"final layer on {r} wires takes {4**r - 1} weights, got {len(w)}")
+        raise QcnnError(f"final layer on {r} wires takes {4**r - 1} weights, got {len(w)}")
     targets = tuple(wires)
     return [GateOp(pauli_rotation(pauli_word(k, r), w[k - 1]), targets) for k in range(1, 4**r)]
 

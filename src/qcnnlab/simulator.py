@@ -24,31 +24,7 @@ import numpy as np
 
 
 class SimulatorError(ValueError):
-    """Base class for contract violations in the simulator."""
-
-
-class AxisNotNormalized(SimulatorError):
-    pass
-
-
-class TargetOutOfRange(SimulatorError):
-    pass
-
-
-class DuplicateTarget(SimulatorError):
-    pass
-
-
-class DimensionMismatch(SimulatorError):
-    pass
-
-
-class NotUnitary(SimulatorError):
-    pass
-
-
-class TooManyQubits(SimulatorError):
-    pass
+    """A contract violation in the simulator."""
 
 
 # Pauli matrices
@@ -66,7 +42,7 @@ _ISING_GENERATORS = {kind: np.kron(PAULIS[kind[0]], PAULIS[kind[0]]) for kind in
 def num_qubits(state: np.ndarray) -> int:
     n = int(len(state)).bit_length() - 1
     if 2**n != len(state):
-        raise DimensionMismatch(f"state length {len(state)} is not a power of two")
+        raise SimulatorError(f"state length {len(state)} is not a power of two")
     return n
 
 
@@ -96,7 +72,7 @@ def axis_rotation_matrix(alpha: float, axis: tuple[float, float, float]) -> np.n
     nx, ny, nz = axis
     norm = np.sqrt(nx * nx + ny * ny + nz * nz)
     if abs(norm - 1.0) > 1e-9:
-        raise AxisNotNormalized(f"axis norm {norm} differs from 1 by more than 1e-9")
+        raise SimulatorError(f"axis norm {norm} differs from 1 by more than 1e-9")
     n_dot_sigma = nx * X + ny * Y + nz * Z
     return np.cos(alpha / 2) * I2 - 1j * np.sin(alpha / 2) * n_dot_sigma
 
@@ -121,9 +97,9 @@ def controlled(g: np.ndarray) -> np.ndarray:
     Apply with targets (control, target).  controlled(X) is CNOT.
     """
     if g.shape != (2, 2):
-        raise DimensionMismatch(f"controlled() expects a 2x2 gate, got {g.shape}")
+        raise SimulatorError(f"controlled() expects a 2x2 gate, got {g.shape}")
     if not is_unitary(g, tol=1e-9):
-        raise NotUnitary("controlled() requires a unitary gate")
+        raise SimulatorError("controlled() requires a unitary gate")
     out = np.eye(4, dtype=np.complex128)
     out[2:, 2:] = g
     return out
@@ -132,9 +108,9 @@ def controlled(g: np.ndarray) -> np.ndarray:
 def _check_targets(n: int, targets: tuple[int, ...]) -> None:
     for q in targets:
         if not 0 <= q < n:
-            raise TargetOutOfRange(f"qubit {q} out of range for {n}-qubit register")
+            raise SimulatorError(f"qubit {q} out of range for {n}-qubit register")
     if len(set(targets)) != len(targets):
-        raise DuplicateTarget(f"duplicate target in {targets}")
+        raise SimulatorError(f"duplicate target in {targets}")
 
 
 def apply_gate(state: np.ndarray, g: np.ndarray, targets) -> np.ndarray:
@@ -146,13 +122,13 @@ def apply_gate(state: np.ndarray, g: np.ndarray, targets) -> np.ndarray:
     (control, target).  Returns a new array; the input is never mutated.
     """
     if state.ndim not in (1, 2):
-        raise DimensionMismatch(f"state must be (2**n,) or (2**n, m), got shape {state.shape}")
+        raise SimulatorError(f"state must be (2**n,) or (2**n, m), got shape {state.shape}")
     targets = tuple([int(t) for t in targets])
     n = num_qubits(state)
     _check_targets(n, targets)
     k = len(targets)
     if g.shape != (2**k, 2**k):
-        raise DimensionMismatch(f"gate shape {g.shape} does not match {k} target(s)")
+        raise SimulatorError(f"gate shape {g.shape} does not match {k} target(s)")
     order, inverse = _row_order(targets, n)
     return (g @ state[order].reshape(len(g), -1)).reshape(state.shape)[inverse]
 
@@ -201,7 +177,7 @@ def readout_prob_one(state: np.ndarray, qubit: int) -> float:
     """Probability that measuring ``qubit`` yields 1."""
     n = num_qubits(state)
     if not 0 <= qubit < n:
-        raise TargetOutOfRange(f"qubit {qubit} out of range for {n}-qubit register")
+        raise SimulatorError(f"qubit {qubit} out of range for {n}-qubit register")
     mask = (np.arange(len(state)) >> qubit) & 1
     return float(np.sum(np.abs(state[mask == 1]) ** 2))
 
@@ -217,7 +193,7 @@ def expand_gate(g: np.ndarray, targets, n_qubits: int) -> np.ndarray:
     _check_targets(n_qubits, targets)
     k = len(targets)
     if g.shape != (2**k, 2**k):
-        raise DimensionMismatch(f"gate shape {g.shape} does not match {k} target(s)")
+        raise SimulatorError(f"gate shape {g.shape} does not match {k} target(s)")
     order = [*targets, *(q for q in range(n_qubits) if q not in targets)]
     big = np.kron(g, np.eye(2 ** (n_qubits - k), dtype=np.complex128))
     axes = [order.index(q) for q in range(n_qubits - 1, -1, -1)]
@@ -232,7 +208,7 @@ def dense_circuit_oracle(gates, n_qubits: int) -> np.ndarray:
     only: refuses registers above 10 qubits.
     """
     if n_qubits > 10:
-        raise TooManyQubits(f"dense oracle limited to 10 qubits, got {n_qubits}")
+        raise SimulatorError(f"dense oracle limited to 10 qubits, got {n_qubits}")
     full = np.eye(2**n_qubits, dtype=np.complex128)
     for g, targets in gates:
         full = expand_gate(g, targets, n_qubits) @ full

@@ -34,22 +34,6 @@ class TrainingError(ValueError):
     pass
 
 
-class EmptyBatch(TrainingError):
-    pass
-
-
-class LengthMismatch(TrainingError):
-    pass
-
-
-class ShapeMismatch(TrainingError):
-    pass
-
-
-class NonBinaryLabels(TrainingError):
-    pass
-
-
 @dataclass(frozen=True)
 class TrainConfig:
     """Optimization settings; every run is fully determined by these + data."""
@@ -62,7 +46,7 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise TrainingError(f"epochs must be >= 1, got {self.epochs}")
-        if self.lr0 < 0:
+        if not self.lr0 >= 0:
             raise TrainingError(f"lr0 must be >= 0, got {self.lr0}")
         if not 0 <= self.lr_decay < 1:
             raise TrainingError(f"lr_decay must be in [0, 1), got {self.lr_decay}")
@@ -77,9 +61,9 @@ def mse_loss(p1s, labels) -> float:
     p1s = np.asarray(p1s, dtype=np.float64).reshape(-1)
     labels = np.asarray(labels, dtype=np.float64).reshape(-1)
     if p1s.size == 0:
-        raise EmptyBatch("loss over an empty batch")
+        raise TrainingError("loss over an empty batch")
     if p1s.size != labels.size:
-        raise LengthMismatch(f"{p1s.size} probabilities vs {labels.size} labels")
+        raise TrainingError(f"{p1s.size} probabilities vs {labels.size} labels")
     return float(np.mean((p1s - labels) ** 2))
 
 
@@ -87,8 +71,10 @@ def accuracy(p1s, labels) -> float:
     """Share of samples whose class decision p1 > 0.5 matches the label; ties go to class 0."""
     p1s = np.asarray(p1s, dtype=np.float64).reshape(-1)
     labels = np.asarray(labels).reshape(-1)
+    if p1s.size == 0:
+        raise TrainingError("accuracy over an empty batch")
     if p1s.size != labels.size:
-        raise LengthMismatch(f"{p1s.size} probabilities vs {labels.size} labels")
+        raise TrainingError(f"{p1s.size} probabilities vs {labels.size} labels")
     return float(np.mean((p1s > 0.5) == labels))
 
 
@@ -178,9 +164,9 @@ def grad_exact(arch: Architecture, params, images, labels) -> np.ndarray:
     """Exact gradient of mse_loss over the batch w.r.t. every parameter."""
     labels = np.asarray(labels).reshape(-1)
     if len(images) == 0:
-        raise EmptyBatch("gradient over an empty batch")
+        raise TrainingError("gradient over an empty batch")
     if len(images) != labels.size:
-        raise LengthMismatch(f"{len(images)} images vs {labels.size} labels")
+        raise TrainingError(f"{len(images)} images vs {labels.size} labels")
     ops = circuit_ops(arch, params)
     _, cache = _forward(arch, ops, embed_columns(images, arch.n_qubits))
     return _backward(arch, ops, cache, labels)
@@ -198,7 +184,7 @@ def adam_step(params, grads, moments, t: int, lr: float):
     params = np.asarray(params, dtype=np.float64)
     grads = np.asarray(grads, dtype=np.float64)
     if params.shape != grads.shape:
-        raise ShapeMismatch(f"params {params.shape} vs grads {grads.shape}")
+        raise TrainingError(f"params {params.shape} vs grads {grads.shape}")
     if t < 1:
         raise TrainingError(f"Adam step index starts at 1, got {t}")
     if moments is None:
@@ -207,7 +193,7 @@ def adam_step(params, grads, moments, t: int, lr: float):
     else:
         m, v = moments
         if m.shape != params.shape or v.shape != params.shape:
-            raise ShapeMismatch("moment shapes do not match params")
+            raise TrainingError("moment shapes do not match params")
     m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * grads
     v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * grads**2
     m_hat = m / (1.0 - ADAM_BETA1**t)
@@ -224,9 +210,9 @@ def init_params(arch: Architecture, seed: int) -> np.ndarray:
 def _check_binary(labels, what: str) -> np.ndarray:
     labels = np.asarray(labels).reshape(-1)
     if labels.size == 0:
-        raise EmptyBatch(f"{what} set is empty")
+        raise TrainingError(f"{what} set is empty")
     if not np.isin(labels, (0, 1)).all():
-        raise NonBinaryLabels(f"{what} labels must be 0/1, got {sorted(set(labels.tolist()))}")
+        raise TrainingError(f"{what} labels must be 0/1, got {sorted(set(labels.tolist()))}")
     return labels.astype(np.int64)
 
 
@@ -329,7 +315,7 @@ def format_metrics(rows) -> str:
 def mean_metrics(runs) -> np.recarray:
     """Per-epoch mean of an (R, epochs) METRICS array over its R runs."""
     if not len(runs):
-        raise EmptyBatch("no runs to average")
+        raise TrainingError("no runs to average")
     # one (epochs * 5, R) reduction along its contiguous last axis sums each
     # value's R runs in the same pairwise order as a 1-D np.mean of them
     values = runs.view(np.float64).reshape(len(runs), -1)

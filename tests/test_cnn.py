@@ -8,7 +8,7 @@ import pytest
 from qcnnlab.augment import AugmentConfig, augment_sample
 from qcnnlab import cnn
 from qcnnlab.datasets import Dataset, binary_subset, load_digits_csv
-from qcnnlab.training import METRICS, ShapeMismatch, TrainConfig, adam_step, grad_fd, lr_at
+from qcnnlab.training import METRICS, TrainConfig, TrainingError, adam_step, grad_fd, lr_at
 from qcnnlab.cnn import (
     CnnModel,
     build_cnn,
@@ -54,7 +54,7 @@ def test_conv_bias_adds_per_filter():
 
 
 def test_conv_rejects_channel_mismatch():
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(TrainingError, match="vs kernels"):
         conv2d(np.zeros((1, 4, 4, 2)), np.zeros((3, 3, 1, 1)), np.zeros(1))
 
 
@@ -408,7 +408,7 @@ def test_pack_unpack_round_trip():
     flat = model.pack()
     again = model.with_params(flat)
     assert np.array_equal(again.pack(), flat)
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(TrainingError, match=f"expected {flat.size} weights, got {flat.size - 1}"):
         model.with_params(flat[:-1])
 
 

@@ -12,17 +12,8 @@ import pytest
 
 from qcnnlab import datasets
 from qcnnlab.datasets import (
-    BadMagic,
-    CountMismatch,
     Dataset,
     DatasetError,
-    InsufficientSamples,
-    MalformedRow,
-    MixedImageSizes,
-    NonIntegerFactor,
-    TruncatedFile,
-    UnknownClassPrefix,
-    UnsupportedPgm,
     _pgm_levels,
     binary_subset,
     load_digits_csv,
@@ -84,14 +75,14 @@ def test_digits_all_zero_row_loads():
 def test_digits_rejects_wrong_field_count(tmp_path):
     path = tmp_path / "short.csv"
     _write_rows(path, ["1,2,3"])
-    with pytest.raises(MalformedRow, match=":1:"):
+    with pytest.raises(DatasetError, match=":1: expected 65 fields, got 3"):
         load_digits_csv(path)
 
 
 def test_digits_rejects_out_of_range_pixel(tmp_path):
     path = tmp_path / "hot.csv"
     _write_rows(path, ["0," + ",".join(["17"] + ["0"] * 63)])
-    with pytest.raises(MalformedRow, match="17"):
+    with pytest.raises(DatasetError, match=":1: pixel value 17 outside 0..16"):
         load_digits_csv(path)
 
 
@@ -100,14 +91,14 @@ def test_digits_rejects_bad_label_with_line_number(tmp_path):
     ok = "1," + ",".join(["0"] * 64)
     bad = "12," + ",".join(["0"] * 64)
     _write_rows(path, [ok, bad])
-    with pytest.raises(MalformedRow, match=":2:"):
+    with pytest.raises(DatasetError, match=":2: label 12 outside 0..9"):
         load_digits_csv(path)
 
 
 def test_digits_rejects_non_integer(tmp_path):
     path = tmp_path / "float.csv"
     _write_rows(path, ["0," + ",".join(["1.5"] + ["0"] * 63)])
-    with pytest.raises(MalformedRow):
+    with pytest.raises(DatasetError, match=":1: non-integer field"):
         load_digits_csv(path)
 
 
@@ -137,7 +128,7 @@ def test_digits_csv_round_trip(tmp_path):
 
 def _reference_digits_csv(path):
     """The per-line parser the array pass replaced, kept verbatim as the
-    reference: float64 pixels in [0, 1], or MalformedRow with a line number."""
+    reference: float64 pixels in [0, 1], or a DatasetError with a line number."""
     raw = bytearray()
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -146,17 +137,17 @@ def _reference_digits_csv(path):
                 continue
             fields = line.split(",")
             if len(fields) != 65:
-                raise MalformedRow(f"{path}:{lineno}: expected 65 fields, got {len(fields)}")
+                raise DatasetError(f"{path}:{lineno}: expected 65 fields, got {len(fields)}")
             try:
                 values = [int(f) for f in fields]
             except ValueError as exc:
-                raise MalformedRow(f"{path}:{lineno}: non-integer field ({exc})") from exc
+                raise DatasetError(f"{path}:{lineno}: non-integer field ({exc})") from exc
             label, pixels = values[0], values[1:]
             if not 0 <= label <= 9:
-                raise MalformedRow(f"{path}:{lineno}: label {label} outside 0..9")
+                raise DatasetError(f"{path}:{lineno}: label {label} outside 0..9")
             bad = [v for v in pixels if not 0 <= v <= 16]
             if bad:
-                raise MalformedRow(f"{path}:{lineno}: pixel value {bad[0]} outside 0..16")
+                raise DatasetError(f"{path}:{lineno}: pixel value {bad[0]} outside 0..16")
             raw.extend(values)
     rows = np.frombuffer(raw, dtype=np.uint8).reshape(-1, 65)
     return Dataset((rows[:, 1:] / 16).reshape(-1, 8, 8), rows[:, 0].astype(np.int64))
@@ -165,8 +156,8 @@ def _reference_digits_csv(path):
 def _digits_outcome(load, path):
     try:
         ds = load(path)
-    except MalformedRow as exc:
-        return "MalformedRow", str(exc)
+    except DatasetError as exc:
+        return "DatasetError", str(exc)
     pixels = ds.images / ds.scale
     return pixels.dtype, pixels.shape, pixels.tobytes(), ds.labels.dtype, ds.labels.tobytes()
 
@@ -273,19 +264,19 @@ def test_idx_minimal_pair(tmp_path):
 
 def test_idx_label_magic_on_image_file(tmp_path):
     ip, lp = _idx_pair(tmp_path, [[[0]]], [0], image_magic=0x801)
-    with pytest.raises(BadMagic):
+    with pytest.raises(DatasetError, match="magic 0x00000801, wanted 0x00000803"):
         load_idx(ip, lp)
 
 
 def test_idx_bad_label_magic(tmp_path):
     ip, lp = _idx_pair(tmp_path, [[[0]]], [0], label_magic=0x803)
-    with pytest.raises(BadMagic):
+    with pytest.raises(DatasetError, match="magic 0x00000803, wanted 0x00000801"):
         load_idx(ip, lp)
 
 
 def test_idx_count_mismatch(tmp_path):
     ip, lp = _idx_pair(tmp_path, [[[0]]], [0, 1], label_count=2)
-    with pytest.raises(CountMismatch):
+    with pytest.raises(DatasetError, match="1 images vs 2 labels"):
         load_idx(ip, lp)
 
 
@@ -294,7 +285,7 @@ def test_idx_truncated_pixels(tmp_path):
     lp = tmp_path / "labs.idx"
     ip.write_bytes(struct.pack(">IIII", 0x803, 2, 2, 2) + b"\x00" * 5)
     lp.write_bytes(struct.pack(">II", 0x801, 2) + b"\x00\x01")
-    with pytest.raises(TruncatedFile):
+    with pytest.raises(DatasetError, match="wanted 8 bytes for pixel data, got 5"):
         load_idx(ip, lp)
 
 
@@ -331,21 +322,21 @@ def test_pgm_header_comments_are_skipped(tmp_path):
 def test_pgm_rejects_ascii_p2(tmp_path):
     path = tmp_path / "a.pgm"
     path.write_bytes(b"P2\n2 2\n255\n0 1 2 3\n")
-    with pytest.raises(UnsupportedPgm, match="P2"):
+    with pytest.raises(DatasetError, match="ASCII 'P2' files not supported"):
         _pgm_levels(path)
 
 
 def test_pgm_rejects_wide_maxval(tmp_path):
     path = tmp_path / "wide.pgm"
     path.write_bytes(b"P5\n1 1\n65535\n\x00\x00")
-    with pytest.raises(UnsupportedPgm, match="65535"):
+    with pytest.raises(DatasetError, match="maxval 65535, only 255 supported"):
         _pgm_levels(path)
 
 
 def test_pgm_rejects_truncated_raster(tmp_path):
     path = tmp_path / "t.pgm"
     path.write_bytes(b"P5\n2 2\n255\n\x00\x01")
-    with pytest.raises(TruncatedFile):
+    with pytest.raises(DatasetError, match="wanted 4 raster bytes, got 2"):
         _pgm_levels(path)
 
 
@@ -368,7 +359,7 @@ def test_pgm_dir_classes_from_prefix(tmp_path):
 
 def test_pgm_dir_unknown_prefix(tmp_path):
     write_pgm(tmp_path / "bird.pgm", np.zeros((2, 2)))
-    with pytest.raises(UnknownClassPrefix, match="bird"):
+    with pytest.raises(DatasetError, match="bird.pgm: no prefix from"):
         load_pgm_dir(tmp_path, {"cat": 0, "dog": 1})
 
 
@@ -401,7 +392,7 @@ def test_resize_512_to_32():
 
 
 def test_resize_rejects_non_integer_factor():
-    with pytest.raises(NonIntegerFactor):
+    with pytest.raises(DatasetError, match="cannot block-average 10x10 to 4x4"):
         resize_area(np.zeros((10, 10)), 4, 4)
 
 
@@ -445,13 +436,13 @@ def test_binary_subset_train_test_disjoint():
 
 def test_binary_subset_insufficient_samples():
     ds = load_digits_csv(DIGITS_CSV)
-    with pytest.raises(InsufficientSamples):
+    with pytest.raises(DatasetError, match="class 0: need 220 samples, dataset has 178"):
         binary_subset(ds, 0, 1, n_per_class=170, n_test=100, seed=0)
 
 
 def test_binary_subset_rejects_odd_test_count():
     ds = load_digits_csv(DIGITS_CSV)
-    with pytest.raises(DatasetError):
+    with pytest.raises(DatasetError, match="n_test 9 must be even"):
         binary_subset(ds, 0, 1, 5, 9, seed=0)
 
 
@@ -561,15 +552,15 @@ def test_pgm_dir_reads_headers_spelled_differently_into_one_array(tmp_path):
     assert ds.images.reshape(-1).tolist() == list(range(12))
 
 
-@pytest.mark.parametrize("later,error,match", [
-    (b"P5\n2 2\n255\n\x00", TruncatedFile, "wanted 4 raster bytes, got 1"),
-    (b"P5\n2 2\n65535\n" + bytes(8), UnsupportedPgm, "maxval 65535"),
-    (b"P5\n1 4\n255\n" + bytes(4), MixedImageSizes, "b.pgm is 4x1 but a.pgm is 2x2"),
+@pytest.mark.parametrize("later,match", [
+    (b"P5\n2 2\n255\n\x00", "wanted 4 raster bytes, got 1"),
+    (b"P5\n2 2\n65535\n" + bytes(8), "maxval 65535"),
+    (b"P5\n1 4\n255\n" + bytes(4), "b.pgm is 4x1 but a.pgm is 2x2"),
 ])
-def test_pgm_dir_later_file_errors_are_unchanged(tmp_path, later, error, match):
+def test_pgm_dir_later_file_errors_are_unchanged(tmp_path, later, match):
     (tmp_path / "a.pgm").write_bytes(b"P5\n2 2\n255\n" + bytes(4))
     (tmp_path / "b.pgm").write_bytes(later)
-    with pytest.raises(error, match=match):
+    with pytest.raises(DatasetError, match=match):
         load_pgm_dir(tmp_path, {"a": 0, "b": 1})
 
 

@@ -49,7 +49,7 @@ def test_two_qubits_depth_zero():
 
 
 def test_too_deep_rejected():
-    with pytest.raises(qcnn.TooDeep):
+    with pytest.raises(qcnn.QcnnError, match="depth 2 exhausts a 2-qubit register"):
         qcnn.build_architecture(2, 2)
 
 
@@ -58,7 +58,7 @@ def test_param_count_matches_layout_for_all_small_sizes():
         for d in range(0, 4):
             try:
                 arch = qcnn.build_architecture(n, d)
-            except qcnn.TooDeep:
+            except qcnn.QcnnError:  # the depth exhausts the register
                 continue
             r = len(arch.remaining_wires)
             assert arch.param_count == 18 * d + 4**r - 1
@@ -70,7 +70,7 @@ def test_param_count_matches_layout_for_all_small_sizes():
 
 def test_wrong_param_length_rejected():
     arch = qcnn.build_architecture(4, 1)
-    with pytest.raises(qcnn.WeightLengthMismatch):
+    with pytest.raises(qcnn.QcnnError, match="expected 33 parameters for n=4, depth=1; got 34"):
         qcnn.split_params(arch, np.zeros(arch.param_count + 1))
 
 
@@ -109,7 +109,7 @@ def test_conv_matches_dense_oracle():
 
 
 def test_conv_weight_length_checked():
-    with pytest.raises(qcnn.WeightLengthMismatch):
+    with pytest.raises(qcnn.QcnnError, match="convolution takes 15 weights, got 14"):
         qcnn.conv_block_ops(np.zeros(14), (0, 1), first_depth=False)
 
 
@@ -213,7 +213,7 @@ def test_flatten_operator_is_unitary():
 
 
 def test_flatten_weight_length_checked():
-    with pytest.raises(qcnn.WeightLengthMismatch):
+    with pytest.raises(qcnn.QcnnError, match="final layer on 2 wires takes 15 weights, got 14"):
         qcnn.flatten_block_ops(np.zeros(14), (0, 1))
 
 
@@ -403,7 +403,7 @@ def allowed_shapes():
         for d in range(n):
             try:
                 arch = qcnn.build_architecture(n, d)
-            except qcnn.TooDeep:
+            except qcnn.QcnnError:  # the depth exhausts the register
                 break
             if len(arch.remaining_wires) <= 4:
                 yield arch
@@ -431,7 +431,7 @@ def test_circuit_ops_is_bitwise_the_per_gate_fused_reference():
 def test_circuit_ops_rejects_wrong_param_length():
     arch = qcnn.build_architecture(6, 2)
     for count in (arch.param_count - 1, arch.param_count + 1):
-        with pytest.raises(qcnn.WeightLengthMismatch):
+        with pytest.raises(qcnn.QcnnError, match=f"parameters for n=6, depth=2; got {count}"):
             qcnn.circuit_ops(arch, np.zeros(count))
 
 

@@ -1,4 +1,5 @@
-"""README's config table, its commands and its "Library use" example agree with the code."""
+"""README's config table, its commands, its "Library use" example, its output files and
+its exit codes agree with the code."""
 
 import os
 import re
@@ -7,10 +8,13 @@ import subprocess
 import sys
 from dataclasses import fields
 
+import pytest
+
 from qcnnlab.cli import build_parser, main
 from qcnnlab.harness import _AUTO_EPOCHS, _COERCERS, ExperimentConfig
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
+DIGITS = os.path.join(ROOT, "data", "digits.csv")
 
 
 def _readme():
@@ -33,7 +37,7 @@ def _named_files(heading):
 def _written(tmp_path, *argv):
     out = tmp_path / argv[0]
     assert main([*argv, "--out", str(out), "--repetitions", "2", "--epochs", "1",
-                 "--data-path", os.path.join(ROOT, "data", "digits.csv")]) == 0
+                 "--data-path", DIGITS]) == 0
     return {str(p.relative_to(out)) for p in out.rglob("*") if p.is_file()}
 
 
@@ -87,3 +91,80 @@ def test_augmentation_comparisons_section_names_the_files_of_compare_da(tmp_path
     cell = _named_files("Output files")
     want = (named - arms) | {arm + name for arm in arms for name in cell}
     assert _written(tmp_path, "compare-da") == want
+
+
+def _exit_code_rows():
+    """{code: condition} per row of the table under "### Exit codes"."""
+    table = _readme().split("### Exit codes\n", 1)[1].strip().split("\n\n", 1)[0]
+    cells = [[c.strip() for c in line.strip("|").split("|")] for line in table.splitlines()]
+    return {int(code): condition for code, condition in cells[2:]}
+
+
+_RUN = ["--n-per-class", "3", "--epochs", "1", "--repetitions", "1"]
+_TINY = ["--n-per-class", "1", "--n-test", "2", "--epochs", "1", "--repetitions", "1"]
+
+# (a condition the table lists, a command that meets it, a line it prints to stderr);
+# "{tmp}" is the test's directory, which holds the bad data files _bad_data writes
+_EXIT_EXAMPLES = [
+    ("success", ["augment-preview", "--data-path", DIGITS, "--count", "1"], ""),
+    ("bad flag", ["train-qcnn", "--frobnicate", "1"], "unrecognized arguments: --frobnicate"),
+    ("an odd `n_test`", ["train-qcnn", "--data-path", DIGITS, *_RUN, "--n-test", "9"],
+     "config error: n_test 9 must be even"),
+    ("a depth the register cannot hold",
+     ["train-qcnn", "--data-path", DIGITS, *_RUN, "--n-qubits", "2", "--depth", "2"],
+     "config error: depth 2 exhausts a 2-qubit register"),
+    ("images with more pixels than `2**n_qubits`",
+     ["train-qcnn", "--data-path", DIGITS, *_RUN, "--n-qubits", "5"],
+     "config error: 64 pixels per image need more than n_qubits = 5"),
+    ("`lr0` below 0", ["train-qcnn", "--data-path", DIGITS, *_RUN, "--lr0", "-1"],
+     "config error: lr0 must be >= 0, got -1.0"),
+    ("a `resize` that does not divide the image size",
+     ["train-qcnn", "--data-path", DIGITS, *_RUN, "--resize", "3"],
+     "config error: resize 3 does not divide the 8x8 image size"),
+    ("a negative `--count`", ["augment-preview", "--data-path", DIGITS, "--count", "-1"],
+     "augment-preview: --count must be >= 0, got -1"),
+    ("missing or malformed data file", ["train-qcnn", "--data-path", "{tmp}/absent.csv", *_RUN],
+     "data error: [Errno 2] No such file or directory"),
+    ("missing or malformed data file", ["train-cnn", "--data-path", "{tmp}/short.csv", *_RUN],
+     "short.csv:1: expected 65 fields, got 3"),
+    ("a PGM directory whose images differ in size",
+     ["train-qcnn", "--dataset", "catdog", "--data-path", "{tmp}/pets", *_TINY, "--depth", "1"],
+     "data error: dog.pgm is 4x1 but cat.pgm is 2x2"),
+    ("a class with fewer images than `n_per_class` plus half of `n_test`",
+     ["train-qcnn", "--data-path", DIGITS, "--n-per-class", "170", "--epochs", "1"],
+     "data error: class 0: need 220 samples, dataset has 178"),
+    ("an `--index` outside the dataset",
+     ["augment-preview", "--data-path", DIGITS, "--index", "1797"],
+     "data error: index 1797 outside dataset of 1797 samples"),
+    ("embedding", ["train-qcnn", "--data-path", "{tmp}/blank.csv", *_TINY],
+     "numeric failure: cannot amplitude-embed an all-zero image"),
+    ("divergence", ["train-cnn", "--data-path", DIGITS, "--lr0", "1e308", "--epochs", "2",
+                    "--repetitions", "1"],
+     "numeric failure: training diverged: non-finite parameters or loss"),
+]
+
+
+def _bad_data(tmp):
+    (tmp / "short.csv").write_text("1,2,3\n")
+    (tmp / "blank.csv").write_text("".join(f"{label}," + ",".join(["0"] * 64) + "\n"
+                                           for label in (0, 0, 1, 1)))
+    (tmp / "pets").mkdir()
+    (tmp / "pets" / "cat.pgm").write_bytes(b"P5\n2 2\n255\n" + bytes(4))
+    (tmp / "pets" / "dog.pgm").write_bytes(b"P5\n1 4\n255\n" + bytes(4))
+
+
+def test_every_exit_code_row_has_an_example():
+    rows = _exit_code_rows()
+    assert sorted(rows) == [0, 1, 2, 3]
+    assert {code for code, condition in rows.items()
+            for phrase, _, _ in _EXIT_EXAMPLES if phrase in condition} == set(rows)
+
+
+@pytest.mark.parametrize("phrase,argv,err", _EXIT_EXAMPLES)
+def test_exit_code_table_gives_the_code_main_returns(tmp_path, capsys, phrase, argv, err):
+    codes = [code for code, condition in _exit_code_rows().items() if phrase in condition]
+    assert len(codes) == 1, phrase
+    _bad_data(tmp_path)
+    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == codes[0]
+    assert err in capsys.readouterr().err

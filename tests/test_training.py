@@ -14,11 +14,7 @@ from qcnnlab.datasets import Dataset
 from qcnnlab.cnn import build_cnn, cnn_loss_and_grads, train_cnn
 from qcnnlab.qcnn import build_architecture, circuit_ops, forward
 from qcnnlab.training import (
-    EmptyBatch,
-    LengthMismatch,
     METRICS,
-    NonBinaryLabels,
-    ShapeMismatch,
     TrainConfig,
     TrainingError,
     accuracy,
@@ -74,10 +70,17 @@ def test_mse_maximally_wrong():
 
 
 def test_mse_rejects_empty_and_mismatched():
-    with pytest.raises(EmptyBatch):
+    with pytest.raises(TrainingError, match="loss over an empty batch"):
         mse_loss([], [])
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(TrainingError, match="1 probabilities vs 2 labels"):
         mse_loss([0.5], [1, 0])
+
+
+def test_accuracy_rejects_empty_and_mismatched():
+    with pytest.raises(TrainingError, match="accuracy over an empty batch"):
+        accuracy([], [])
+    with pytest.raises(TrainingError, match="1 probabilities vs 2 labels"):
+        accuracy([0.5], [1, 0])
 
 
 def test_accuracy_uses_half_threshold():
@@ -93,10 +96,12 @@ def test_lr_schedule_first_three_epochs():
 
 
 def test_config_validation():
-    with pytest.raises(TrainingError):
+    with pytest.raises(TrainingError, match="epochs must be >= 1, got 0"):
         TrainConfig(epochs=0)
-    with pytest.raises(TrainingError):
+    with pytest.raises(TrainingError, match=r"lr_decay must be in \[0, 1\), got 1.0"):
         TrainConfig(epochs=1, lr_decay=1.0)
+    with pytest.raises(TrainingError, match="lr0 must be >= 0, got nan"):
+        TrainConfig(epochs=1, lr0=float("nan"))
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +120,7 @@ def test_fd_quadratic():
 
 
 def test_fd_rejects_nonpositive_step():
-    with pytest.raises(TrainingError):
+    with pytest.raises(TrainingError, match="step must be > 0, got 0.0"):
         grad_fd(lambda p: 0.0, np.zeros(1), step=0.0)
 
 
@@ -207,9 +212,9 @@ def test_batched_p1_matches_single_forward():
 
 def test_grad_exact_rejects_bad_batches():
     arch = build_architecture(2, 0)
-    with pytest.raises(EmptyBatch):
+    with pytest.raises(TrainingError, match="gradient over an empty batch"):
         grad_exact(arch, np.zeros(arch.param_count), [], [])
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(TrainingError, match="1 images vs 2 labels"):
         grad_exact(arch, np.zeros(arch.param_count), [np.ones(4)], [0, 1])
 
 
@@ -242,14 +247,14 @@ def test_adam_two_steps_descend_a_quadratic():
 
 
 def test_adam_shape_mismatch():
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(TrainingError, match=r"params \(2,\) vs grads \(3,\)"):
         adam_step(np.zeros(2), np.zeros(3), None, 1, 0.1)
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(TrainingError, match="moment shapes do not match params"):
         adam_step(np.zeros(2), np.zeros(2), (np.zeros(3), np.zeros(2)), 1, 0.1)
 
 
 def test_adam_requires_positive_step_index():
-    with pytest.raises(TrainingError):
+    with pytest.raises(TrainingError, match="Adam step index starts at 1, got 0"):
         adam_step(np.zeros(1), np.zeros(1), None, 0, 0.1)
 
 
@@ -327,7 +332,7 @@ def test_training_rejects_nonbinary_labels():
     train, test = _toy_sets(rng)
     bad = Dataset(train.images, train.labels + 1)
     arch = build_architecture(6, 1)
-    with pytest.raises(NonBinaryLabels):
+    with pytest.raises(TrainingError, match=r"train labels must be 0/1, got \[1, 2\]"):
         train_qcnn(arch, bad, test, TrainConfig(epochs=1, seed=0))
 
 
@@ -563,5 +568,5 @@ def test_mean_metrics_is_bitwise_the_per_epoch_mean(reps):
 
 
 def test_mean_metrics_rejects_no_runs():
-    with pytest.raises(EmptyBatch):
+    with pytest.raises(TrainingError, match="no runs to average"):
         mean_metrics(np.recarray((0, 3), METRICS))
