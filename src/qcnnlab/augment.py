@@ -1,7 +1,8 @@
 """Label-preserving random image transforms applied during training.
 
 Three transforms: horizontal flip, small rotation (bilinear, zero fill
-outside the frame), and contrast scaling about the image mean.  Recipes:
+outside the frame), and contrast scaling about the image mean, bounded by
+the module constants MAX_ROTATION and CONTRAST_RANGE.  Recipes:
 photographic datasets get flip + rotation, the hand-written digits get
 rotation + contrast.  Transforms run in the fixed order
 flip -> rotate -> contrast; test data is never augmented.
@@ -23,26 +24,17 @@ class AugmentError(ValueError):
     pass
 
 
-DEFAULT_MAX_ROTATION = 0.05  # radians
-DEFAULT_CONTRAST_RANGE = (0.9, 1.1)
+MAX_ROTATION = 0.05  # radians
+CONTRAST_RANGE = (0.9, 1.1)
 
 
 @dataclass(frozen=True)
 class AugmentConfig:
-    """Which transforms run, and their bounds."""
+    """Which transforms run; the module constants MAX_ROTATION and CONTRAST_RANGE bound them."""
 
     flip_horizontal: bool = False
     rotation: bool = False
     contrast: bool = False
-    max_rotation: float = DEFAULT_MAX_ROTATION
-    contrast_range: tuple[float, float] = DEFAULT_CONTRAST_RANGE
-
-    def __post_init__(self):
-        if self.max_rotation < 0:
-            raise AugmentError("max_rotation must be >= 0")
-        lo, hi = self.contrast_range
-        if not 0 < lo <= hi:
-            raise AugmentError(f"bad contrast range {self.contrast_range}")
 
     @property
     def enabled(self) -> bool:
@@ -118,14 +110,14 @@ def rotate(img: np.ndarray, angle: float) -> np.ndarray:
 
     Samples falling outside the frame read as 0; output is clamped to [0, 1].
     """
-    if abs(angle) > DEFAULT_MAX_ROTATION + 1e-12:
-        raise AugmentError(f"|{angle}| exceeds the {DEFAULT_MAX_ROTATION} radian bound")
+    if abs(angle) > MAX_ROTATION + 1e-12:
+        raise AugmentError(f"|{angle}| exceeds the {MAX_ROTATION} radian bound")
     return _transform(_one(img), angles=np.array([angle], dtype=np.float64))[0]
 
 
 def contrast(img: np.ndarray, factor: float) -> np.ndarray:
     """Scale deviations from the image mean by ``factor``, clamped to [0, 1]."""
-    lo, hi = DEFAULT_CONTRAST_RANGE
+    lo, hi = CONTRAST_RANGE
     if not lo <= factor <= hi:
         raise AugmentError(f"factor {factor} outside [{lo}, {hi}]")
     return _transform(_one(img), factors=np.array([factor], dtype=np.float64))[0]
@@ -136,8 +128,8 @@ def augment_batch(images, cfg: AugmentConfig, rng: np.random.Generator):
 
     ``images`` is an (m, h, w) stack or a list of equal-shape images; the
     result is an (m, h, w) float64 array.  Per image, flip fires with
-    probability 1/2 and the angle and contrast factor are uniform over the
-    configured bounds.  One ``rng.random((m, k))`` call draws them all, k
+    probability 1/2 and the angle and contrast factor are uniform within the
+    module bounds.  One ``rng.random((m, k))`` call draws them all, k
     being the number of enabled transforms, image by image in the order
     flip, angle, contrast: the same stream and values as k scalar draws per
     image, since ``Generator.uniform(low, high)`` is ``low + (high - low) * u``.
@@ -153,8 +145,8 @@ def augment_batch(images, cfg: AugmentConfig, rng: np.random.Generator):
         return low + (high - low) * next(draws)
 
     flips = next(draws) < 0.5 if cfg.flip_horizontal else None
-    angles = uniform(-cfg.max_rotation, cfg.max_rotation) if cfg.rotation else None
-    factors = uniform(*cfg.contrast_range) if cfg.contrast else None
+    angles = uniform(-MAX_ROTATION, MAX_ROTATION) if cfg.rotation else None
+    factors = uniform(*CONTRAST_RANGE) if cfg.contrast else None
     return _transform(stack, flips, angles, factors)
 
 

@@ -134,9 +134,6 @@ def load_idx(images_path: str | os.PathLike, labels_path: str | os.PathLike) -> 
         labels = np.frombuffer(_read_exact(fh, int(n_labels), labels_path, "labels"),
                                dtype=np.uint8)
 
-    if int(count) != int(n_labels):
-        raise DatasetError(f"{count} images vs {n_labels} labels")
-
     return Dataset(images, labels.astype(np.int64), 255)
 
 

@@ -24,7 +24,7 @@ from .augment import AugmentError, preset
 from .cnn import build_cnn, train_cnn
 from .datasets import Dataset, binary_subset, load_digits_csv, load_idx, load_pgm_dir, resize_pool
 from .qcnn import QcnnError, build_architecture
-from .training import METRICS, TrainConfig, format_metrics, mean_metrics, train_qcnn
+from .training import METRICS, TrainConfig, TrainingError, format_metrics, mean_metrics, train_qcnn
 
 
 class ConfigError(ValueError):
@@ -62,8 +62,6 @@ class ExperimentConfig:
             raise ConfigError(f"repetitions must be >= 1, got {self.repetitions}")
         if not self.class_b or not self.n_per_class:
             raise ConfigError("class_b and n_per_class must be nonempty")
-        if self.epochs < 1:
-            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.class_a in self.class_b:
             raise ConfigError(f"class_a {self.class_a} also appears in class_b {self.class_b}")
         if self.n_test < 2 or self.n_test % 2:
@@ -72,21 +70,15 @@ class ExperimentConfig:
             raise ConfigError(f"every n_per_class must be >= 1, got {self.n_per_class}")
         if self.base_seed < 0:
             raise ConfigError(f"base_seed must be >= 0, got {self.base_seed}")
-        if not self.lr0 >= 0:
-            raise ConfigError(f"lr0 must be >= 0, got {self.lr0}")
-        if not 0 <= self.lr_decay < 1:
-            raise ConfigError(f"lr_decay must be in [0, 1), got {self.lr_decay}")
         if self.resize < 0:
             raise ConfigError(f"resize must be >= 0 (0 keeps the size), got {self.resize}")
         try:
+            TrainConfig(self.epochs, self.lr0, self.lr_decay)
             preset(self.augment)
-        except AugmentError as exc:
-            raise ConfigError(str(exc)) from exc
-        if self.model == "qcnn":
-            try:
+            if self.model == "qcnn":
                 build_architecture(self.n_qubits, self.depth)
-            except QcnnError as exc:
-                raise ConfigError(str(exc)) from exc
+        except (AugmentError, QcnnError, TrainingError) as exc:
+            raise ConfigError(str(exc)) from exc
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:

@@ -105,12 +105,19 @@ def controlled(g: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_targets(n: int, targets: tuple[int, ...]) -> None:
+def _check_targets(n: int, targets, g=None) -> tuple[int, ...]:
+    """``targets`` as an int tuple (list-built, see :func:`_layout_plan`), checked
+    against an n-qubit register and, when given, against gate ``g``'s shape."""
+    targets = tuple([int(t) for t in targets])
     for q in targets:
         if not 0 <= q < n:
             raise SimulatorError(f"qubit {q} out of range for {n}-qubit register")
     if len(set(targets)) != len(targets):
         raise SimulatorError(f"duplicate target in {targets}")
+    k = len(targets)
+    if g is not None and g.shape != (2**k, 2**k):
+        raise SimulatorError(f"gate shape {g.shape} does not match {k} target(s)")
+    return targets
 
 
 def apply_gate(state: np.ndarray, g: np.ndarray, targets) -> np.ndarray:
@@ -123,13 +130,8 @@ def apply_gate(state: np.ndarray, g: np.ndarray, targets) -> np.ndarray:
     """
     if state.ndim not in (1, 2):
         raise SimulatorError(f"state must be (2**n,) or (2**n, m), got shape {state.shape}")
-    targets = tuple([int(t) for t in targets])
     n = num_qubits(state)
-    _check_targets(n, targets)
-    k = len(targets)
-    if g.shape != (2**k, 2**k):
-        raise SimulatorError(f"gate shape {g.shape} does not match {k} target(s)")
-    order, inverse = _row_order(targets, n)
+    order, inverse = _row_order(_check_targets(n, targets, g), n)
     return (g @ state[order].reshape(len(g), -1)).reshape(state.shape)[inverse]
 
 
@@ -175,9 +177,7 @@ def _layout_plan(targets: tuple[tuple[int, ...], ...], n: int) -> tuple[tuple[np
 
 def readout_prob_one(state: np.ndarray, qubit: int) -> float:
     """Probability that measuring ``qubit`` yields 1."""
-    n = num_qubits(state)
-    if not 0 <= qubit < n:
-        raise SimulatorError(f"qubit {qubit} out of range for {n}-qubit register")
+    _check_targets(num_qubits(state), (qubit,))
     mask = (np.arange(len(state)) >> qubit) & 1
     return float(np.sum(np.abs(state[mask == 1]) ** 2))
 
@@ -189,11 +189,8 @@ def expand_gate(g: np.ndarray, targets, n_qubits: int) -> np.ndarray:
     it as one axis per row bit and per column bit, and moves qubit q to axis
     n-1-q of each half: the qubit-0-least-significant convention.
     """
-    targets = tuple([int(t) for t in targets])
-    _check_targets(n_qubits, targets)
+    targets = _check_targets(n_qubits, targets, g)
     k = len(targets)
-    if g.shape != (2**k, 2**k):
-        raise SimulatorError(f"gate shape {g.shape} does not match {k} target(s)")
     order = [*targets, *(q for q in range(n_qubits) if q not in targets)]
     big = np.kron(g, np.eye(2 ** (n_qubits - k), dtype=np.complex128))
     axes = [order.index(q) for q in range(n_qubits - 1, -1, -1)]

@@ -57,24 +57,25 @@ METRICS_HEADER = "epoch,train_loss,train_acc,test_loss,test_acc"
 METRICS = np.dtype([(name, np.float64) for name in METRICS_HEADER.split(",")])
 
 
-def mse_loss(p1s, labels) -> float:
+def _batch(p1s, labels, what: str, dtype=None):
+    """Flat float64 ``p1s`` and flat ``labels``, refused when empty or unequal in size."""
     p1s = np.asarray(p1s, dtype=np.float64).reshape(-1)
-    labels = np.asarray(labels, dtype=np.float64).reshape(-1)
+    labels = np.asarray(labels, dtype=dtype).reshape(-1)
     if p1s.size == 0:
-        raise TrainingError("loss over an empty batch")
+        raise TrainingError(f"{what} over an empty batch")
     if p1s.size != labels.size:
         raise TrainingError(f"{p1s.size} probabilities vs {labels.size} labels")
+    return p1s, labels
+
+
+def mse_loss(p1s, labels) -> float:
+    p1s, labels = _batch(p1s, labels, "loss", np.float64)
     return float(np.mean((p1s - labels) ** 2))
 
 
 def accuracy(p1s, labels) -> float:
     """Share of samples whose class decision p1 > 0.5 matches the label; ties go to class 0."""
-    p1s = np.asarray(p1s, dtype=np.float64).reshape(-1)
-    labels = np.asarray(labels).reshape(-1)
-    if p1s.size == 0:
-        raise TrainingError("accuracy over an empty batch")
-    if p1s.size != labels.size:
-        raise TrainingError(f"{p1s.size} probabilities vs {labels.size} labels")
+    p1s, labels = _batch(p1s, labels, "accuracy")
     return float(np.mean((p1s > 0.5) == labels))
 
 

@@ -10,6 +10,7 @@ from dataclasses import fields
 
 import pytest
 
+from qcnnlab.augment import CONTRAST_RANGE, MAX_ROTATION
 from qcnnlab.cli import build_parser, main
 from qcnnlab.harness import _AUTO_EPOCHS, _COERCERS, ExperimentConfig
 
@@ -58,6 +59,14 @@ def test_config_table_lists_every_field_in_order_with_its_default():
             assert f.default == _AUTO_EPOCHS[ExperimentConfig.model]
         else:
             assert _COERCERS[key](default) == f.default, key
+
+
+def test_augment_bullet_states_the_module_bounds():
+    bullet = _readme().split("- `qcnnlab.augment`:", 1)[1].split("\n- ", 1)[0]
+    angle = re.search(r"angle drawn uniformly from\s+\[-([\d.]+), \+([\d.]+)\] rad", bullet)
+    factor = re.search(r"factor drawn\s+uniformly from \[([\d.]+), ([\d.]+)\]", bullet)
+    assert (float(angle[1]), float(angle[2])) == (MAX_ROTATION, MAX_ROTATION)
+    assert (float(factor[1]), float(factor[2])) == CONTRAST_RANGE
 
 
 def test_every_command_in_a_sh_block_parses():
