@@ -306,8 +306,7 @@ def cnn_loss_and_grads(model: CnnModel, images, labels):
 def train_cnn(model: CnnModel, train_set, test_set, cfg: TrainConfig,
               augment_cfg: AugmentConfig | None = None):
     """training.fit every kernel/bias/dense weight on the cross-entropy loss;
-    returns (per-epoch metrics, trained model)."""
-    rows, params = fit(model.pack(), train_set, test_set, cfg, augment_cfg,
-                       encode=_encode, bind=model.with_params, forward=_forward,
-                       score=_score, backward=_backward)
-    return rows, model.with_params(params)
+    returns (per-epoch metrics, trained weights as one :meth:`CnnModel.pack` vector)."""
+    return fit(model.pack(), train_set, test_set, cfg, augment_cfg,
+               encode=_encode, bind=model.with_params, forward=_forward,
+               score=_score, backward=_backward)

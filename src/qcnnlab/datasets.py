@@ -123,6 +123,8 @@ def load_idx(images_path: str | os.PathLike, labels_path: str | os.PathLike) -> 
             _read_exact(fh, 16, images_path, "image header"), dtype=">u4")
         if magic != IDX_IMAGE_MAGIC:
             raise DatasetError(f"{images_path}: magic {magic:#010x}, wanted {IDX_IMAGE_MAGIC:#010x}")
+        if rows < 1 or cols < 1:
+            raise DatasetError(f"{images_path}: {rows} rows, {cols} cols; both must be >= 1")
         raw = _read_exact(fh, int(count) * int(rows) * int(cols), images_path, "pixel data")
     images = np.frombuffer(raw, dtype=np.uint8).reshape(int(count), int(rows), int(cols))
 
@@ -168,6 +170,8 @@ def _parse_pgm_header(data: bytes, path) -> tuple[int, int, int]:
         width, height, maxval = (int(t) for t in tokens)
     except ValueError:
         raise DatasetError(f"{path}: non-numeric header fields {tokens}") from None
+    if width < 1 or height < 1:
+        raise DatasetError(f"{path}: width {width}, height {height}; both must be >= 1")
     if maxval != 255:
         raise DatasetError(f"{path}: maxval {maxval}, only 255 supported")
     return width, height, pos

@@ -23,8 +23,8 @@ import numpy as np
 from .augment import AugmentError, preset
 from .cnn import build_cnn, train_cnn
 from .datasets import Dataset, binary_subset, load_digits_csv, load_idx, load_pgm_dir, resize_pool
-from .qcnn import QcnnError, build_architecture
-from .training import METRICS, TrainConfig, TrainingError, format_metrics, mean_metrics, train_qcnn
+from .qcnn import QcnnError, build_architecture, train_qcnn
+from .training import METRICS, TrainConfig, TrainingError, format_metrics, mean_metrics
 
 
 class ConfigError(ValueError):
@@ -205,8 +205,7 @@ def _train_one_rep(cfg: ExperimentConfig, pool: Dataset, class_b: int,
         arch = build_architecture(cfg.n_qubits, cfg.depth)
         return train_qcnn(arch, train, test, tcfg, augment_cfg=aug)
     model = build_cnn(train.images.shape[1:], seed)
-    rows, trained = train_cnn(model, train, test, tcfg, augment_cfg=aug)
-    return rows, trained.pack()
+    return train_cnn(model, train, test, tcfg, augment_cfg=aug)
 
 
 def _compute_experiment(cfg: ExperimentConfig, pool: Dataset) -> list[RunResult]:

@@ -24,15 +24,22 @@ angle it depends on.  A cached table places closed-form gate stacks, which
 are multiplied in gate order, so a block is bit for bit the product of the
 per-gate builders (:func:`conv_block_ops`, :func:`pool_block_ops`,
 :func:`flatten_block_ops`), which stay the one definition of the gates.
+
+:func:`train_qcnn` hands :func:`training.fit` the amplitude embedding,
+:func:`circuit_ops`, the batched forward :func:`run_columns`, the MSE loss
+and its exact gradient: the adjoint method of Jones & Gacon
+(arXiv:2009.02823), one reverse sweep over the fused blocks
+(:func:`_backward`), checked against central finite differences.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
+from .augment import AugmentConfig
 from .embedding import amplitude_embed, embed_columns
 from .simulator import (
     _ISING_GENERATORS,
@@ -42,8 +49,10 @@ from .simulator import (
     controlled,
     ising_matrix,
     readout_prob_one,
+    rotation_matrix,
     u3_matrix,
 )
+from .training import TrainConfig, TrainingError, fit
 
 
 class QcnnError(ValueError):
@@ -189,10 +198,8 @@ def pauli_word_matrix(word: str) -> np.ndarray:
 
 
 def pauli_rotation(word: str, theta: float) -> np.ndarray:
-    """exp(-i*(theta/2)*W) for a Pauli word W; W**2 = I gives the closed form."""
-    dim = 2 ** len(word)
-    w = pauli_word_matrix(word)
-    return np.cos(theta / 2) * np.eye(dim, dtype=np.complex128) - 1j * np.sin(theta / 2) * w
+    """exp(-i*(theta/2)*W) for a Pauli word W."""
+    return rotation_matrix(pauli_word_matrix(word), theta)
 
 
 def flatten_block_ops(weights, wires) -> list[GateOp]:
@@ -286,7 +293,7 @@ def _u3_stacks(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _rotations(theta: np.ndarray, words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """exp(-i*(theta/2)*W) and its theta-derivative, broadcast over stacks of
-    angles and Pauli words, in the form of :func:`pauli_rotation`."""
+    angles and Pauli words, in the form of :func:`rotation_matrix`."""
     c, s = np.cos(theta / 2)[..., None, None], np.sin(theta / 2)[..., None, None]
     eye = np.eye(words.shape[-1], dtype=np.complex128)
     return c * eye - 1j * s * words, -0.5 * s * eye - 0.5j * c * words
@@ -356,6 +363,13 @@ def circuit_ops(arch: Architecture, params) -> list[GateOp]:
 # forward pass
 # ---------------------------------------------------------------------------
 
+def _plan(arch: Architecture, ops):
+    """What the forward and the sweep share: the (forward, backward) gathers of
+    :func:`_layout_plan` for ``ops``, and the rows whose readout bit is 1."""
+    return (_layout_plan(tuple([op.targets for op in ops]), arch.n_qubits),
+            ((np.arange(2**arch.n_qubits) >> arch.readout_wire) & 1).astype(bool))
+
+
 def run_columns(arch: Architecture, ops, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Evolve every column of ``states`` through ``ops`` and read each out.
 
@@ -365,20 +379,19 @@ def run_columns(arch: Architecture, ops, states: np.ndarray) -> tuple[np.ndarray
     unmodified) into one, and each block multiplies it into the other and ``take``s it back
     ("clip" writes ``out`` unbuffered, "raise" would not).
     """
-    gathers = _layout_plan(tuple([op.targets for op in ops]), arch.n_qubits)[0]
+    (gathers, _), ones = _plan(arch, ops)
     cur, buf = states[gathers[0]].astype(np.complex128, copy=False), np.empty(states.shape, np.complex128)
     for op, gather in zip(ops, gathers[1:]):
         np.matmul(op.matrix, cur.reshape(len(op.matrix), -1), out=buf.reshape(len(op.matrix), -1))
         np.take(buf, gather, axis=0, out=cur, mode="clip")
     del buf  # freed before the readout's temporaries
-    mask = ((np.arange(cur.shape[0]) >> arch.readout_wire) & 1).astype(bool)
-    return cur, np.sum(np.abs(cur[mask]) ** 2, axis=0)
+    return cur, np.sum(np.abs(cur[ones]) ** 2, axis=0)
 
 
-def forward(arch: Architecture, params, pixels) -> float:
-    """Class-1 probability of one image: embed, run the circuit, read out."""
-    _, p1s = run_columns(arch, circuit_ops(arch, params), embed_columns([pixels], arch.n_qubits))
-    return float(p1s[0])
+def batch_p1s(arch: Architecture, params, images) -> np.ndarray:
+    """Class-1 probability for every image, sharing one gate-sequence build."""
+    _, p1s = run_columns(arch, circuit_ops(arch, params), embed_columns(images, arch.n_qubits))
+    return p1s
 
 
 # ---------------------------------------------------------------------------
@@ -427,3 +440,113 @@ def forward_branching(arch: Architecture, params, pixels) -> float:
     flat_ops = flatten_block_ops(flat_w, arch.remaining_wires)
     return float(sum(p * readout_prob_one(_apply_ops(s, flat_ops), arch.readout_wire)
                      for p, s in branches))
+
+
+# ---------------------------------------------------------------------------
+# loss, exact gradient and training
+# ---------------------------------------------------------------------------
+
+def _batch(p1s, labels, what: str, dtype=None):
+    """Flat float64 ``p1s`` and flat ``labels``, refused when empty or unequal in size."""
+    p1s = np.asarray(p1s, dtype=np.float64).reshape(-1)
+    labels = np.asarray(labels, dtype=dtype).reshape(-1)
+    if p1s.size == 0:
+        raise TrainingError(f"{what} over an empty batch")
+    if p1s.size != labels.size:
+        raise TrainingError(f"{p1s.size} probabilities vs {labels.size} labels")
+    return p1s, labels
+
+
+def mse_loss(p1s, labels) -> float:
+    p1s, labels = _batch(p1s, labels, "loss", np.float64)
+    return float(np.mean((p1s - labels) ** 2))
+
+
+def accuracy(p1s, labels) -> float:
+    """Share of samples whose class decision p1 > 0.5 matches the label; ties go to class 0."""
+    p1s, labels = _batch(p1s, labels, "accuracy")
+    return float(np.mean((p1s > 0.5) == labels))
+
+
+def _forward(arch: Architecture, ops, cols: np.ndarray):
+    """(p1 per column, cache): the cache holds the final states for :func:`_backward`."""
+    ket, p1s = run_columns(arch, ops, cols)
+    return p1s, [ket, p1s]
+
+
+def _score(p1s, labels) -> tuple[float, float]:
+    return mse_loss(p1s, labels), accuracy(p1s, labels)
+
+
+def _backward(arch: Architecture, ops, cache: list, labels) -> np.ndarray:
+    """Exact MSE gradient via a reverse sweep with local environments.
+
+    Forward gives phi = U_L ... U_1 psi and p1 = <phi|P1|phi> per column.
+    The loss chain rule weights column s by c_s = 2 (p1_s - y_s) / m, so
+    the sweep starts from bra = P1 phi c.  Sweeping blocks j = L..1, with
+    bra = (U_L ... U_{j+1})^dag P1 phi c and ket the state entering block
+    j, both with the block's target bits gathered into the rows, the
+    block's environment E = ket @ bra^H contracts every other wire and
+    the batch into a k x k matrix, and dL/dtheta = 2 Re tr(dU_j/dtheta E)
+    for all of the block's parameters at once.  Shared parameters
+    accumulate over every block they drive.  One gather per block moves ket
+    and bra between layouts (:func:`_layout_plan`); the sweep empties ``cache``
+    so that its first gather frees the forward's states, whoever holds the list.
+    It holds three (2**n, m) complex states: bra, ket, and the new copy that each gather
+    or product makes of one of them.
+    """
+    labels = np.asarray(labels, dtype=np.float64).reshape(-1)
+    ket, p1s = cache
+    cache.clear()
+    shape = ket.shape
+    (_, gathers), ones = _plan(arch, ops)
+    bra = ket * (2.0 * (p1s - labels) / labels.size)
+    bra[~ones] = 0
+    grads = np.zeros(arch.param_count, dtype=np.float64)
+    for op, gather in zip(reversed(ops), gathers):
+        ket = ket.reshape(shape)[gather]
+        rows = bra.reshape(shape)[gather].reshape(len(op.matrix), -1)
+        del bra
+        inv = op.matrix.conj().T
+        ket = inv @ ket.reshape(len(inv), -1)
+        bra = inv @ rows
+        env = ket @ np.conjugate(rows, out=rows).T
+        del rows
+        index, derivs = op.grads
+        grads[index] += 2.0 * np.real(derivs.reshape(len(index), -1) @ env.T.reshape(-1))
+    return grads
+
+
+def grad_exact(arch: Architecture, params, images, labels) -> np.ndarray:
+    """Exact gradient of mse_loss over the batch w.r.t. every parameter."""
+    labels = np.asarray(labels).reshape(-1)
+    if len(images) == 0:
+        raise TrainingError("gradient over an empty batch")
+    if len(images) != labels.size:
+        raise TrainingError(f"{len(images)} images vs {labels.size} labels")
+    ops = circuit_ops(arch, params)
+    _, cache = _forward(arch, ops, embed_columns(images, arch.n_qubits))
+    return _backward(arch, ops, cache, labels)
+
+
+def init_params(arch: Architecture, seed: int) -> np.ndarray:
+    """Seeded uniform(-pi, pi) start for every angle."""
+    rng = np.random.default_rng(seed)
+    return rng.uniform(-np.pi, np.pi, arch.param_count)
+
+
+def train_qcnn(arch: Architecture, train_set, test_set, cfg: TrainConfig,
+               augment_cfg: AugmentConfig | None = None):
+    """:func:`fit` the circuit from :func:`init_params` on the MSE loss.
+
+    Each parameter vector is bound to its fused blocks with their
+    derivatives (:func:`circuit_ops`) once, and they serve both the metrics
+    after a step and the next step's gradient, so an E-epoch run builds the
+    circuit E + 1 times.  It runs 2E + 1 forwards without augmentation,
+    where each gradient reuses the metrics' train-set forward, and 3E with
+    it.
+    """
+    return fit(init_params(arch, cfg.seed), train_set, test_set, cfg, augment_cfg,
+               encode=partial(embed_columns, n_qubits=arch.n_qubits),
+               bind=partial(circuit_ops, arch), forward=partial(_forward, arch),
+               score=_score, backward=partial(_backward, arch))

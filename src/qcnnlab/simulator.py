@@ -28,12 +28,11 @@ class SimulatorError(ValueError):
 
 
 # Pauli matrices
-I2 = np.eye(2, dtype=np.complex128)
 X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
 Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
 
-PAULIS = {"I": I2, "X": X, "Y": Y, "Z": Z}
+PAULIS = {"I": np.eye(2, dtype=np.complex128), "X": X, "Y": Y, "Z": Z}
 
 # P(x)P for the two-qubit Ising rotations, built once
 _ISING_GENERATORS = {kind: np.kron(PAULIS[kind[0]], PAULIS[kind[0]]) for kind in ("XX", "YY", "ZZ")}
@@ -67,24 +66,25 @@ def u3_matrix(theta: float, phi: float, lam: float) -> np.ndarray:
     )
 
 
+def rotation_matrix(generator: np.ndarray, theta: float) -> np.ndarray:
+    """exp(-i*(theta/2)*W) for a generator with W**2 = I: cos(theta/2)*I - i*sin(theta/2)*W."""
+    return np.cos(theta / 2) * np.eye(len(generator), dtype=np.complex128) - 1j * np.sin(theta / 2) * generator
+
+
 def axis_rotation_matrix(alpha: float, axis: tuple[float, float, float]) -> np.ndarray:
     """exp(-i*(alpha/2)*(n . sigma)) for a unit axis n = (nx, ny, nz)."""
     nx, ny, nz = axis
     norm = np.sqrt(nx * nx + ny * ny + nz * nz)
     if abs(norm - 1.0) > 1e-9:
         raise SimulatorError(f"axis norm {norm} differs from 1 by more than 1e-9")
-    n_dot_sigma = nx * X + ny * Y + nz * Z
-    return np.cos(alpha / 2) * I2 - 1j * np.sin(alpha / 2) * n_dot_sigma
+    return rotation_matrix(nx * X + ny * Y + nz * Z, alpha)
 
 
 def ising_matrix(kind: str, theta: float) -> np.ndarray:
-    """Two-qubit rotation exp(-i*(theta/2)*P(x)P) for kind in {"XX","YY","ZZ"}.
-
-    (P(x)P)^2 = I, so the closed form is cos(theta/2)*I - i*sin(theta/2)*P(x)P.
-    """
+    """Two-qubit rotation exp(-i*(theta/2)*P(x)P) for kind in {"XX","YY","ZZ"}."""
     if kind not in _ISING_GENERATORS:
         raise SimulatorError(f"unknown Ising kind {kind!r}")
-    return np.cos(theta / 2) * np.eye(4, dtype=np.complex128) - 1j * np.sin(theta / 2) * _ISING_GENERATORS[kind]
+    return rotation_matrix(_ISING_GENERATORS[kind], theta)
 
 
 def is_unitary(g: np.ndarray, tol: float = 1e-10) -> bool:

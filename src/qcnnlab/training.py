@@ -1,33 +1,23 @@
-"""The training loop shared by both models, and the QCNN's loss and gradients.
+"""The training loop shared by both models.
 
 :func:`fit` is the one epoch loop: full-batch Adam with the learning rate
-starting at 0.1 and decaying 5% per epoch.  The QCNN gradient engine is
-exact, after the adjoint method of Jones & Gacon (arXiv:2009.02823): a
-reverse sweep over the fused blocks folds the bra and ket of the whole
-batch into one small environment matrix per block and reads every
-d(loss)/d(angle) of that block off it with the closed-form block
-derivatives; a central finite-difference oracle checks it.  Batches are
-evolved as columns of one matrix, so an epoch is a few dozen small matmuls
-rather than a Python loop over samples.  Both models give :func:`fit` the
-same four functions (bind, forward, score, backward), and :func:`fit` owns
-the one forward cache for both: it binds each parameter vector once (for the
-QCNN, one circuit build, every block with its derivatives from one
-closed-form table), and without augmentation hands the metrics' train-set
-forward after a step to the next step's backward.  An epoch augments (if
-enabled) and embeds its batch in one array pass.
+starting at 0.1 and decaying 5% per epoch.  Each model module (``qcnn``,
+``cnn``) gives :func:`fit` the same five functions (encode, bind, forward,
+score, backward), and :func:`fit` owns the one forward cache for both: it
+binds each parameter vector once, and without augmentation hands the
+metrics' train-set forward after a step to the next step's backward.  An
+epoch augments (if enabled) and encodes its batch in one array pass.
+:func:`grad_fd` is the central finite-difference oracle that each model's
+exact gradient is held to.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from .augment import AugmentConfig, augment_batch
-from .embedding import embed_columns
-from .qcnn import Architecture, circuit_ops, run_columns
-from .simulator import _layout_plan
 
 
 class TrainingError(ValueError):
@@ -57,28 +47,6 @@ METRICS_HEADER = "epoch,train_loss,train_acc,test_loss,test_acc"
 METRICS = np.dtype([(name, np.float64) for name in METRICS_HEADER.split(",")])
 
 
-def _batch(p1s, labels, what: str, dtype=None):
-    """Flat float64 ``p1s`` and flat ``labels``, refused when empty or unequal in size."""
-    p1s = np.asarray(p1s, dtype=np.float64).reshape(-1)
-    labels = np.asarray(labels, dtype=dtype).reshape(-1)
-    if p1s.size == 0:
-        raise TrainingError(f"{what} over an empty batch")
-    if p1s.size != labels.size:
-        raise TrainingError(f"{p1s.size} probabilities vs {labels.size} labels")
-    return p1s, labels
-
-
-def mse_loss(p1s, labels) -> float:
-    p1s, labels = _batch(p1s, labels, "loss", np.float64)
-    return float(np.mean((p1s - labels) ** 2))
-
-
-def accuracy(p1s, labels) -> float:
-    """Share of samples whose class decision p1 > 0.5 matches the label; ties go to class 0."""
-    p1s, labels = _batch(p1s, labels, "accuracy")
-    return float(np.mean((p1s > 0.5) == labels))
-
-
 def lr_at(epoch: int, cfg: TrainConfig) -> float:
     """Geometric decay: lr0 * (1 - lr_decay)**epoch, epoch counted from 0."""
     if epoch < 0:
@@ -86,18 +54,8 @@ def lr_at(epoch: int, cfg: TrainConfig) -> float:
     return cfg.lr0 * (1.0 - cfg.lr_decay) ** epoch
 
 
-def batch_p1s(arch: Architecture, params, images) -> np.ndarray:
-    """Class-1 probability for every image, sharing one gate-sequence build."""
-    _, p1s = run_columns(arch, circuit_ops(arch, params), embed_columns(images, arch.n_qubits))
-    return p1s
-
-
-# ---------------------------------------------------------------------------
-# gradients
-# ---------------------------------------------------------------------------
-
 def grad_fd(loss_fn, params, step: float = 1e-4) -> np.ndarray:
-    """Central-difference gradient; the oracle the exact engine is held to."""
+    """Central-difference gradient; the oracle both models' exact gradients are held to."""
     if step <= 0:
         raise TrainingError(f"step must be > 0, got {step}")
     params = np.asarray(params, dtype=np.float64)
@@ -110,67 +68,6 @@ def grad_fd(loss_fn, params, step: float = 1e-4) -> np.ndarray:
         down = loss_fn(bumped)
         grads[k] = (up - down) / (2.0 * step)
     return grads
-
-
-def _forward(arch: Architecture, ops, cols: np.ndarray):
-    """(p1 per column, cache): the cache holds the final states for :func:`_backward`."""
-    ket, p1s = run_columns(arch, ops, cols)
-    return p1s, [ket, p1s]
-
-
-def _score(p1s, labels) -> tuple[float, float]:
-    return mse_loss(p1s, labels), accuracy(p1s, labels)
-
-
-def _backward(arch: Architecture, ops, cache: list, labels) -> np.ndarray:
-    """Exact MSE gradient via a reverse sweep with local environments.
-
-    Forward gives phi = U_L ... U_1 psi and p1 = <phi|P1|phi> per column.
-    The loss chain rule weights column s by c_s = 2 (p1_s - y_s) / m, so
-    the sweep starts from bra = P1 phi c.  Sweeping blocks j = L..1, with
-    bra = (U_L ... U_{j+1})^dag P1 phi c and ket the state entering block
-    j, both with the block's target bits gathered into the rows, the
-    block's environment E = ket @ bra^H contracts every other wire and
-    the batch into a k x k matrix, and dL/dtheta = 2 Re tr(dU_j/dtheta E)
-    for all of the block's parameters at once.  Shared parameters
-    accumulate over every block they drive.  One gather per block moves ket
-    and bra between layouts (:func:`_layout_plan`); the sweep empties ``cache``
-    so that its first gather frees the forward's states, whoever holds the list.
-    It holds three (2**n, m) complex states: bra, ket, and the new copy that each gather
-    or product makes of one of them.
-    """
-    labels = np.asarray(labels, dtype=np.float64).reshape(-1)
-    ket, p1s = cache
-    cache.clear()
-    shape = ket.shape
-    bra = ket * (2.0 * (p1s - labels) / labels.size)
-    bra[((np.arange(len(bra)) >> arch.readout_wire) & 1) == 0] = 0
-    grads = np.zeros(arch.param_count, dtype=np.float64)
-    gathers = _layout_plan(tuple([op.targets for op in ops]), arch.n_qubits)[1]
-    for op, gather in zip(reversed(ops), gathers):
-        ket = ket.reshape(shape)[gather]
-        rows = bra.reshape(shape)[gather].reshape(len(op.matrix), -1)
-        del bra
-        inv = op.matrix.conj().T
-        ket = inv @ ket.reshape(len(inv), -1)
-        bra = inv @ rows
-        env = ket @ np.conjugate(rows, out=rows).T
-        del rows
-        index, derivs = op.grads
-        grads[index] += 2.0 * np.real(derivs.reshape(len(index), -1) @ env.T.reshape(-1))
-    return grads
-
-
-def grad_exact(arch: Architecture, params, images, labels) -> np.ndarray:
-    """Exact gradient of mse_loss over the batch w.r.t. every parameter."""
-    labels = np.asarray(labels).reshape(-1)
-    if len(images) == 0:
-        raise TrainingError("gradient over an empty batch")
-    if len(images) != labels.size:
-        raise TrainingError(f"{len(images)} images vs {labels.size} labels")
-    ops = circuit_ops(arch, params)
-    _, cache = _forward(arch, ops, embed_columns(images, arch.n_qubits))
-    return _backward(arch, ops, cache, labels)
 
 
 # ---------------------------------------------------------------------------
@@ -200,12 +97,6 @@ def adam_step(params, grads, moments, t: int, lr: float):
     m_hat = m / (1.0 - ADAM_BETA1**t)
     v_hat = v / (1.0 - ADAM_BETA2**t)
     return params - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS), (m, v)
-
-
-def init_params(arch: Architecture, seed: int) -> np.ndarray:
-    """Seeded uniform(-pi, pi) start for every angle."""
-    rng = np.random.default_rng(seed)
-    return rng.uniform(-np.pi, np.pi, arch.param_count)
 
 
 def _check_binary(labels, what: str) -> np.ndarray:
@@ -282,23 +173,6 @@ def fit(params, train_set, test_set, cfg: TrainConfig, augment_cfg: AugmentConfi
                                 f"at seed {cfg.seed}, epoch {epoch}, lr {lr:g}")
         rows[epoch] = epoch, tr_loss, tr_acc, te_loss, te_acc
     return rows, params
-
-
-def train_qcnn(arch: Architecture, train_set, test_set, cfg: TrainConfig,
-               augment_cfg: AugmentConfig | None = None):
-    """:func:`fit` the circuit from :func:`init_params` on the MSE loss.
-
-    Each parameter vector is bound to its fused blocks with their
-    derivatives (:func:`circuit_ops`) once, and they serve both the metrics
-    after a step and the next step's gradient, so an E-epoch run builds the
-    circuit E + 1 times.  It runs 2E + 1 forwards without augmentation,
-    where each gradient reuses the metrics' train-set forward, and 3E with
-    it.
-    """
-    return fit(init_params(arch, cfg.seed), train_set, test_set, cfg, augment_cfg,
-               encode=partial(embed_columns, n_qubits=arch.n_qubits),
-               bind=partial(circuit_ops, arch), forward=partial(_forward, arch),
-               score=_score, backward=partial(_backward, arch))
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,16 @@ from qcnnlab.augment import AugmentConfig, augment_sample, contrast, flip_h, pre
 from qcnnlab.cnn import build_cnn, cnn_loss_and_grads, train_cnn
 from qcnnlab.datasets import binary_subset, load_digits_csv
 from qcnnlab.harness import ExperimentConfig, compare_da, run_experiment
-from qcnnlab.qcnn import build_architecture, circuit_ops, forward, forward_branching, split_params
+from qcnnlab.qcnn import (
+    batch_p1s,
+    build_architecture,
+    circuit_ops,
+    forward_branching,
+    grad_exact,
+    mse_loss,
+    split_params,
+    train_qcnn,
+)
 from qcnnlab.simulator import (
     apply_gate,
     axis_rotation_matrix,
@@ -26,14 +35,7 @@ from qcnnlab.simulator import (
     u3_matrix,
     zero_state,
 )
-from qcnnlab.training import (
-    TrainConfig,
-    batch_p1s,
-    grad_exact,
-    grad_fd,
-    mse_loss,
-    train_qcnn,
-)
+from qcnnlab.training import TrainConfig, grad_fd
 
 DIGITS = os.path.join(os.path.dirname(__file__), "..", "data", "digits.csv")
 
@@ -122,7 +124,7 @@ def test_criterion_03_deferred_measurement():
         for _ in range(50):
             params = rng.uniform(-np.pi, np.pi, arch.param_count)
             pixels = rng.random(2**n)
-            delta = abs(forward(arch, params, pixels)
+            delta = abs(batch_p1s(arch, params, [pixels])[0]
                         - forward_branching(arch, params, pixels))
             worst = max(worst, delta)
     elapsed = time.time() - start

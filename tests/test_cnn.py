@@ -479,8 +479,8 @@ def test_zero_lr_keeps_weights():
     rng = np.random.default_rng(6)
     train, test = _toy_sets(rng)
     model = build_cnn((8, 8), seed=7)
-    rows, out = train_cnn(model, train, test, TrainConfig(epochs=1, lr0=0.0, seed=7))
-    assert np.array_equal(out.pack(), model.pack())
+    rows, params = train_cnn(model, train, test, TrainConfig(epochs=1, lr0=0.0, seed=7))
+    assert np.array_equal(params, model.pack())
     assert len(rows) == 1
 
 
@@ -489,10 +489,10 @@ def test_cnn_training_is_deterministic():
     train, test = _toy_sets(rng)
     model = build_cnn((8, 8), seed=8)
     cfg = TrainConfig(epochs=3, seed=8)
-    rows1, m1 = train_cnn(model, train, test, cfg)
-    rows2, m2 = train_cnn(model, train, test, cfg)
+    rows1, params1 = train_cnn(model, train, test, cfg)
+    rows2, params2 = train_cnn(model, train, test, cfg)
     assert rows1.tobytes() == rows2.tobytes()
-    assert np.array_equal(m1.pack(), m2.pack())
+    assert np.array_equal(params1, params2)
 
 
 def test_cnn_learns_separable_toy_data():
@@ -508,8 +508,8 @@ def test_evaluate_matches_training_metrics():
     rng = np.random.default_rng(9)
     train, test = _toy_sets(rng)
     model = build_cnn((8, 8), seed=10)
-    rows, trained = train_cnn(model, train, test, TrainConfig(epochs=2, seed=10))
-    loss, acc = cnn_loss_and_grads(trained, train.images, train.labels)[:2]
+    rows, params = train_cnn(model, train, test, TrainConfig(epochs=2, seed=10))
+    loss, acc = cnn_loss_and_grads(model.with_params(params), train.images, train.labels)[:2]
     assert loss == pytest.approx(rows[-1].train_loss, abs=1e-12)
     assert acc == pytest.approx(rows[-1].train_acc, abs=1e-12)
 
@@ -538,10 +538,10 @@ def test_train_cnn_equals_the_reference_loop_exactly(hw, aug):
     train, test = _toy_sets(np.random.default_rng(11), n_train=8, n_test=6, hw=hw)
     model = build_cnn(hw, seed=12)
     cfg = TrainConfig(epochs=5, seed=3)
-    rows, trained = train_cnn(model, train, test, cfg, augment_cfg=aug)
+    rows, params = train_cnn(model, train, test, cfg, augment_cfg=aug)
     ref_rows, ref_params = _reference_train_cnn(model, train, test, cfg, aug)
     assert rows.dtype == METRICS and rows.tobytes() == ref_rows.tobytes()
-    assert trained.pack().tobytes() == ref_params.tobytes()
+    assert params.tobytes() == ref_params.tobytes()
 
 
 def _reference_forward(model, x):
@@ -566,8 +566,8 @@ def test_train_cnn_on_digits_equals_the_reference_layers_exactly(scale, monkeypa
         train, test = (Dataset(np.kron(d.images, up), d.labels) for d in (train, test))
     model = build_cnn(train.images.shape[1:], seed=5)
     cfg = TrainConfig(epochs=5, seed=6)
-    rows, trained = train_cnn(model, train, test, cfg)
+    rows, params = train_cnn(model, train, test, cfg)
     monkeypatch.setattr(cnn, "_forward", _reference_forward)
-    ref_rows, ref_trained = train_cnn(model, train, test, cfg)
+    ref_rows, ref_params = train_cnn(model, train, test, cfg)
     assert rows.tobytes() == ref_rows.tobytes()
-    assert trained.pack().tobytes() == ref_trained.pack().tobytes()
+    assert params.tobytes() == ref_params.tobytes()

@@ -289,6 +289,13 @@ def test_idx_truncated_pixels(tmp_path):
         load_idx(ip, lp)
 
 
+@pytest.mark.parametrize("rows,cols", [(0, 0), (0, 3), (3, 0)])
+def test_idx_rejects_an_empty_image_size(tmp_path, rows, cols):
+    ip, lp = _idx_pair(tmp_path, np.zeros((1, rows, cols)), [0])
+    with pytest.raises(DatasetError, match=f"imgs.idx: {rows} rows, {cols} cols; both must be >= 1"):
+        load_idx(ip, lp)
+
+
 def test_fashion_mnist_train_file_loads_if_present():
     """Full 60000-image check; skipped when the public files are not on disk."""
     base = os.path.join(os.path.dirname(__file__), "..", "data", "fashion")
@@ -337,6 +344,15 @@ def test_pgm_rejects_truncated_raster(tmp_path):
     path = tmp_path / "t.pgm"
     path.write_bytes(b"P5\n2 2\n255\n\x00\x01")
     with pytest.raises(DatasetError, match="wanted 4 raster bytes, got 2"):
+        _pgm_levels(path)
+
+
+@pytest.mark.parametrize("size", [b"-5 -5", b"0 0", b"-4 2", b"2 0"])
+def test_pgm_rejects_a_size_below_one(tmp_path, size):
+    path = tmp_path / "z.pgm"
+    path.write_bytes(b"P5\n" + size + b"\n255\n" + bytes(4))
+    width, height = size.decode().split()
+    with pytest.raises(DatasetError, match=f"z.pgm: width {width}, height {height}; both must be >= 1"):
         _pgm_levels(path)
 
 

@@ -7,7 +7,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from qcnnlab import qcnn, simulator as sim, training
+from qcnnlab import qcnn, simulator as sim
 from qcnnlab.embedding import amplitude_embed, embed_columns
 
 
@@ -443,7 +443,7 @@ def test_forward_zero_params_on_basis_image():
     arch = qcnn.build_architecture(4, 1)
     pixels = np.zeros(16)
     pixels[0] = 1.0
-    assert qcnn.forward(arch, np.zeros(arch.param_count), pixels) == 0.0
+    assert qcnn.batch_p1s(arch, np.zeros(arch.param_count), [pixels])[0] == 0.0
 
 
 def test_forward_probability_in_range_and_norm_kept():
@@ -464,7 +464,7 @@ def test_forward_matches_branching_oracle_small():
     for _ in range(20):
         params = RNG.uniform(-np.pi, np.pi, arch.param_count)
         pixels = RNG.uniform(0.01, 1, 16)
-        a = qcnn.forward(arch, params, pixels)
+        a = qcnn.batch_p1s(arch, params, [pixels])[0]
         b = qcnn.forward_branching(arch, params, pixels)
         assert abs(a - b) < 1e-12
 
@@ -472,7 +472,7 @@ def test_forward_matches_branching_oracle_small():
 def test_zero_parameter_circuit_reads_embedded_marginal():
     arch = qcnn.build_architecture(4, 1)
     pixels = RNG.uniform(0.01, 1, 16)
-    p1 = qcnn.forward(arch, np.zeros(arch.param_count), pixels)
+    p1 = qcnn.batch_p1s(arch, np.zeros(arch.param_count), [pixels])[0]
     embedded = amplitude_embed(pixels, 4)
     assert abs(p1 - sim.readout_prob_one(embedded, arch.readout_wire)) < 1e-12
 
@@ -534,7 +534,7 @@ def test_run_columns_and_backward_are_bitwise_the_two_gather_reference(n, d, m):
     mask = ((np.arange(2**n) >> arch.readout_wire) & 1).astype(bool)
     assert np.array_equal(ket, want)
     assert np.array_equal(p1s, np.sum(np.abs(want[mask]) ** 2, axis=0))
-    assert np.array_equal(training._backward(arch, ops, [ket, p1s], labels),
+    assert np.array_equal(qcnn._backward(arch, ops, [ket, p1s], labels),
                           two_gather_backward(arch, ops, want, p1s, labels))
 
 

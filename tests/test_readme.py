@@ -150,6 +150,9 @@ _EXIT_EXAMPLES = [
     ("divergence", ["train-cnn", "--data-path", DIGITS, "--lr0", "1e308", "--epochs", "2",
                     "--repetitions", "1"],
      "numeric failure: training diverged: non-finite parameters or loss"),
+    ("missing or malformed data file",
+     ["train-qcnn", "--dataset", "catdog", "--data-path", "{tmp}/empty", *_TINY, "--depth", "1"],
+     "empty/cat.pgm: width 0, height 0; both must be >= 1"),
 ]
 
 
@@ -160,6 +163,8 @@ def _bad_data(tmp):
     (tmp / "pets").mkdir()
     (tmp / "pets" / "cat.pgm").write_bytes(b"P5\n2 2\n255\n" + bytes(4))
     (tmp / "pets" / "dog.pgm").write_bytes(b"P5\n1 4\n255\n" + bytes(4))
+    (tmp / "empty").mkdir()
+    (tmp / "empty" / "cat.pgm").write_bytes(b"P5\n0 0\n255\n")
 
 
 def test_every_exit_code_row_has_an_example():

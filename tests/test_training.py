@@ -7,28 +7,31 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from qcnnlab import cnn, simulator, training
+from qcnnlab import cnn, qcnn, simulator, training
 from qcnnlab.augment import AugmentConfig, augment_sample, preset
 from qcnnlab.embedding import embed_columns
 from qcnnlab.datasets import Dataset
 from qcnnlab.cnn import build_cnn, cnn_loss_and_grads, train_cnn
-from qcnnlab.qcnn import build_architecture, circuit_ops, forward
+from qcnnlab.qcnn import (
+    accuracy,
+    batch_p1s,
+    build_architecture,
+    circuit_ops,
+    grad_exact,
+    init_params,
+    mse_loss,
+    train_qcnn,
+)
 from qcnnlab.training import (
     METRICS,
     TrainConfig,
     TrainingError,
-    accuracy,
     adam_step,
-    batch_p1s,
     fit,
     format_metrics,
-    grad_exact,
     grad_fd,
-    init_params,
     lr_at,
     mean_metrics,
-    mse_loss,
-    train_qcnn,
 )
 
 
@@ -206,7 +209,7 @@ def test_batched_p1_matches_single_forward():
     params = rng.uniform(-np.pi, np.pi, arch.param_count)
     images = _random_images(rng, 5, 4)
     batched = batch_p1s(arch, params, images)
-    singles = [forward(arch, params, img) for img in images]
+    singles = [batch_p1s(arch, params, [img])[0] for img in images]
     assert np.allclose(batched, singles, atol=1e-12)
 
 
@@ -312,8 +315,7 @@ def test_fit_on_8bit_levels_is_bitwise_fit_on_divided_pixels(model, augment, sca
         if model == "qcnn":
             runs.append(train_qcnn(build_architecture(6, 1), train, test, cfg, aug))
         else:
-            rows, trained = train_cnn(build_cnn((8, 8), seed=2), train, test, cfg, aug)
-            runs.append((rows, trained.pack()))
+            runs.append(train_cnn(build_cnn((8, 8), seed=2), train, test, cfg, aug))
     (rows_l, params_l), (rows_d, params_d) = runs
     assert rows_l.tobytes() == rows_d.tobytes()
     assert params_l.tobytes() == params_d.tobytes()
@@ -388,7 +390,7 @@ def _record_calls(monkeypatch, module, name, keep):
 
 
 def _count_calls(monkeypatch, name):
-    return _record_calls(monkeypatch, training, name, lambda args, out: args)
+    return _record_calls(monkeypatch, qcnn, name, lambda args, out: args)
 
 
 @pytest.mark.parametrize("aug", [None, AugmentConfig(rotation=True, contrast=True)])
@@ -443,7 +445,7 @@ def test_fit_applies_the_gradient_at_each_epochs_params_and_batch(monkeypatch, m
     batches = _record_calls(monkeypatch, training, "augment_batch", lambda args, out: out)
     if model == "qcnn":
         arch = build_architecture(6, 1)
-        forwards = _record_calls(monkeypatch, training, "_forward", lambda args, out: None)
+        forwards = _record_calls(monkeypatch, qcnn, "_forward", lambda args, out: None)
         train_qcnn(arch, train, test, TrainConfig(epochs=epochs, seed=1), augment_cfg=aug)
         fresh = lambda params, images: grad_exact(arch, params, images, labels)
     else:
@@ -489,8 +491,8 @@ def test_the_sweep_frees_the_forward_states_block_by_block(monkeypatch, aug):
         seen = lambda: at_block.append(alive())
         return [replace(op, grads=_RecordedGrads(op.grads, seen)) for op in circuit_ops(arch, params)]
 
-    at_forward = _record_calls(monkeypatch, training, "run_columns", at_forward_end)
-    monkeypatch.setattr(training, "circuit_ops", recorded_ops)
+    at_forward = _record_calls(monkeypatch, qcnn, "run_columns", at_forward_end)
+    monkeypatch.setattr(qcnn, "circuit_ops", recorded_ops)
     train_qcnn(arch, train, test, TrainConfig(epochs=3, seed=1), augment_cfg=aug)
     blocks = len(circuit_ops(arch, init_params(arch, 1)))
     assert at_forward == [0] * len(at_forward)
