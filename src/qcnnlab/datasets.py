@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import contextlib
 import os
+import re
 import warnings
 from dataclasses import dataclass
 
@@ -110,7 +111,7 @@ IDX_LABEL_MAGIC = 0x00000801
 
 
 def _read_exact(fh, n: int, path, what: str) -> bytes:
-    buf = fh.read(n)
+    buf = fh.read(min(n, os.fstat(fh.fileno()).st_size))  # n comes from the file's header
     if len(buf) != n:
         raise DatasetError(f"{path}: wanted {n} bytes for {what}, got {len(buf)}")
     return buf
@@ -143,45 +144,31 @@ def load_idx(images_path: str | os.PathLike, labels_path: str | os.PathLike) -> 
 # binary PGM
 # ---------------------------------------------------------------------------
 
-def _parse_pgm_header(data: bytes, path) -> tuple[int, int, int]:
-    """Return (width, height, data offset); only 8-bit binary P5 accepted."""
+# width, height and maxval, each after whitespace or '#'-to-end-of-line comments; the
+# lookaheads keep backtracking from splitting a field or a comment
+_PGM_HEADER = re.compile(rb"P5" + rb"(?:\s|#[^\n]*(?![^\n]))*([^\s#]\S*)(?!\S)" * 3)
+
+
+def _pgm_levels(path) -> np.ndarray:
+    """Read one 8-bit binary P5 PGM's H x W uint8 raster."""
+    with open(path, "rb") as fh:
+        data = fh.read()
     if data[:2] == b"P2":
         raise DatasetError(f"{path}: ASCII 'P2' files not supported, convert to binary 'P5'")
     if data[:2] != b"P5":
         raise DatasetError(f"{path}: not a PGM file (no 'P5' signature)")
-    # header = magic, width, height, maxval as whitespace-separated tokens;
-    # '#' starts a comment running to end of line
-    tokens, pos = [], 2
-    while len(tokens) < 3:
-        while pos < len(data) and data[pos : pos + 1].isspace():
-            pos += 1
-        if pos < len(data) and data[pos : pos + 1] == b"#":
-            while pos < len(data) and data[pos : pos + 1] != b"\n":
-                pos += 1
-            continue
-        start = pos
-        while pos < len(data) and not data[pos : pos + 1].isspace():
-            pos += 1
-        if start == pos:
-            raise DatasetError(f"{path}: truncated header")
-        tokens.append(data[start:pos])
-    pos += 1  # single whitespace byte after maxval, then raster data
+    header = _PGM_HEADER.match(data)
+    if header is None:
+        raise DatasetError(f"{path}: truncated header")
     try:
-        width, height, maxval = (int(t) for t in tokens)
+        width, height, maxval = map(int, header.groups())
     except ValueError:
-        raise DatasetError(f"{path}: non-numeric header fields {tokens}") from None
+        raise DatasetError(f"{path}: non-numeric header fields {list(header.groups())}") from None
     if width < 1 or height < 1:
         raise DatasetError(f"{path}: width {width}, height {height}; both must be >= 1")
     if maxval != 255:
         raise DatasetError(f"{path}: maxval {maxval}, only 255 supported")
-    return width, height, pos
-
-
-def _pgm_levels(path) -> np.ndarray:
-    """Read one binary PGM's H x W uint8 raster."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    width, height, offset = _parse_pgm_header(data, path)
+    offset = header.end() + 1  # one whitespace byte after maxval, then the raster
     need = width * height
     raster = data[offset : offset + need]
     if len(raster) != need:

@@ -34,7 +34,7 @@ and its exact gradient: the adjoint method of Jones & Gacon
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache, partial
 
 import numpy as np
@@ -72,11 +72,10 @@ class Architecture:
     depth: int
     active_wires: tuple[tuple[int, ...], ...]  # per depth, before its pooling
     remaining_wires: tuple[int, ...]
-    param_count: int = field(init=False)
 
-    def __post_init__(self):
-        r = len(self.remaining_wires)
-        object.__setattr__(self, "param_count", BLOCK_WEIGHTS * self.depth + 4**r - 1)
+    @property
+    def param_count(self) -> int:
+        return BLOCK_WEIGHTS * self.depth + 4 ** len(self.remaining_wires) - 1
 
     @property
     def readout_wire(self) -> int:

@@ -1,6 +1,8 @@
 """Tests for dataset loaders, writers, resizing, and subset sampling."""
 
+import io
 import os
+import random
 import struct
 import subprocess
 import sys
@@ -289,6 +291,23 @@ def test_idx_truncated_pixels(tmp_path):
         load_idx(ip, lp)
 
 
+@pytest.mark.parametrize("count,rows,cols,n_labels,what,wanted,got", [
+    (0xFFFFFFFF, 0xFFFF, 0xFFFF, 1, "pixel data", 0xFFFFFFFF * 0xFFFF * 0xFFFF, 4),
+    (100000, 1000, 1000, 1, "pixel data", 10**11, 4),
+    (1, 2, 2, 0xFFFFFFFF, "labels", 0xFFFFFFFF, 1),
+])
+def test_idx_header_claiming_more_than_the_file_holds(tmp_path, count, rows, cols, n_labels,
+                                                      what, wanted, got):
+    """The header's sizes are never handed to read() beyond the file's own size."""
+    ip, lp = tmp_path / "imgs.idx", tmp_path / "labs.idx"
+    ip.write_bytes(struct.pack(">IIII", 0x803, count, rows, cols) + bytes(4))
+    lp.write_bytes(struct.pack(">II", 0x801, n_labels) + bytes(1))
+    path = ip if what == "pixel data" else lp
+    with pytest.raises(DatasetError, match=f"{path.name}: wanted {wanted} bytes for {what}, "
+                                           f"got {got}$"):
+        load_idx(ip, lp)
+
+
 @pytest.mark.parametrize("rows,cols", [(0, 0), (0, 3), (3, 0)])
 def test_idx_rejects_an_empty_image_size(tmp_path, rows, cols):
     ip, lp = _idx_pair(tmp_path, np.zeros((1, rows, cols)), [0])
@@ -377,6 +396,149 @@ def test_pgm_dir_unknown_prefix(tmp_path):
     write_pgm(tmp_path / "bird.pgm", np.zeros((2, 2)))
     with pytest.raises(DatasetError, match="bird.pgm: no prefix from"):
         load_pgm_dir(tmp_path, {"cat": 0, "dog": 1})
+
+
+def _reference_pgm_header(data: bytes, path) -> tuple[int, int, int]:
+    """The byte lexer the header pattern replaced, kept verbatim as the reference."""
+    if data[:2] == b"P2":
+        raise DatasetError(f"{path}: ASCII 'P2' files not supported, convert to binary 'P5'")
+    if data[:2] != b"P5":
+        raise DatasetError(f"{path}: not a PGM file (no 'P5' signature)")
+    # header = magic, width, height, maxval as whitespace-separated tokens;
+    # '#' starts a comment running to end of line
+    tokens, pos = [], 2
+    while len(tokens) < 3:
+        while pos < len(data) and data[pos : pos + 1].isspace():
+            pos += 1
+        if pos < len(data) and data[pos : pos + 1] == b"#":
+            while pos < len(data) and data[pos : pos + 1] != b"\n":
+                pos += 1
+            continue
+        start = pos
+        while pos < len(data) and not data[pos : pos + 1].isspace():
+            pos += 1
+        if start == pos:
+            raise DatasetError(f"{path}: truncated header")
+        tokens.append(data[start:pos])
+    pos += 1  # single whitespace byte after maxval, then raster data
+    try:
+        width, height, maxval = (int(t) for t in tokens)
+    except ValueError:
+        raise DatasetError(f"{path}: non-numeric header fields {tokens}") from None
+    if width < 1 or height < 1:
+        raise DatasetError(f"{path}: width {width}, height {height}; both must be >= 1")
+    if maxval != 255:
+        raise DatasetError(f"{path}: maxval {maxval}, only 255 supported")
+    return width, height, pos
+
+
+def _reference_pgm_levels(data, path):
+    """The levels _pgm_levels read around the lexer, and the lexer's raster offset."""
+    width, height, offset = _reference_pgm_header(data, path)
+    need = width * height
+    raster = data[offset : offset + need]
+    if len(raster) != need:
+        raise DatasetError(f"{path}: wanted {need} raster bytes, got {len(raster)}")
+    return np.frombuffer(raster, dtype=np.uint8).reshape(height, width), offset
+
+
+def _pgm_outcome(read):
+    """(width, height, raster offset, raster) from ``read()``, or its DatasetError text."""
+    try:
+        levels, offset = read()
+    except DatasetError as exc:
+        return str(exc)
+    return levels.shape[1], levels.shape[0], offset, levels.tobytes()
+
+
+@pytest.fixture
+def pgm_outcomes(monkeypatch):
+    """``outcomes(data)``: the _pgm_outcome of _pgm_levels and of the reference, each
+    reading a file "h.pgm" that holds ``data``; _pgm_levels' raster starts one byte
+    after its header pattern's match."""
+    held = {}
+    monkeypatch.setattr(datasets, "open", lambda path, mode: io.BytesIO(held[path]),
+                        raising=False)
+
+    def outcomes(data):
+        held["h.pgm"] = data
+        return (_pgm_outcome(lambda: (_pgm_levels("h.pgm"),
+                                      datasets._PGM_HEADER.match(data).end() + 1)),
+                _pgm_outcome(lambda: _reference_pgm_levels(data, "h.pgm")))
+
+    return outcomes
+
+
+_RASTER = bytes(range(40, 104))  # none of them whitespace
+
+_PGM_EDGE_HEADERS = {
+    "plain": b"P5\n2 3\n255\n",
+    "comment right after P5": b"P5# made by hand\n2 3 255\n",
+    "comment at EOF": b"P5 2 3 # 255",
+    "comment between width and height": b"P5 2#x\n3 255 ",
+    "comment ending in CR LF": b"P5\n# c\r\n2 3\n255\n",
+    "empty comments": b"P5#\n#\n2\n#\n3#\n255\n",
+    "# inside a field": b"P5 2#x 3 255\n",
+    "# inside maxval": b"P5 2 3 255#\n",
+    "CR, VT and FF separators": b"P5\r2\x0b3\x0c255\r",
+    "tabs only": b"P5\t2\t3\t255\t",
+    "P52 2 255": b"P52 2 255 ",
+    "nothing after maxval": b"P5 2 3 255",
+    "two whitespace bytes after maxval": b"P5 2 3 255\n\n",
+    "no fields": b"P5",
+    "no fields, whitespace": b"P5 \n\t",
+    "one field": b"P5 2 ",
+    "two fields": b"P5 2 3\n",
+    "two fields and a comment": b"P5 2 3 # 255\n",
+    "a field split by backtracking in a naive pattern": b"P5-3#0+42\t",
+    "non-numeric width": b"P5 two 3 255\n",
+    "file separator byte": b"P5 2\x1c3 255\n",
+    "NEL byte": b"P5 2\x853 255\n",
+    "no-break space": b"P5 2\xa03 255\n",
+    "signs, underscores and leading zeros": b"P5 +2 0_3 0255\n",
+    "width 0": b"P5 0 3 255\n",
+    "negative height": b"P5 2 -3 255\n",
+    "maxval 65535": b"P5 2 3 65535\n",
+    "P2": b"P2 2 3 255\n",
+    "no signature": b"P6 2 3 255\n",
+    "empty file": b"",
+    "P only": b"P",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PGM_EDGE_HEADERS))
+def test_pgm_header_pattern_equals_the_byte_lexer(pgm_outcomes, name):
+    for raster in (_RASTER, _RASTER[:5], b""):
+        got, want = pgm_outcomes(_PGM_EDGE_HEADERS[name] + raster)
+        assert got == want, raster
+
+
+_PGM_SEPARATORS = [b" ", b"\n", b"\t\r", b"\x0b\x0c", b"# c\n", b"\n#\r\n"]
+_PGM_NOISE = b" \t\n\r\x0b\x0c#0123456789+-_x\x1c\x85\xa0"  # \x1c, \x85, \xa0: str whitespace only
+
+
+def test_pgm_header_pattern_equals_the_byte_lexer_on_fuzzed_headers(pgm_outcomes):
+    """Well-formed headers with up to three bytes inserted or deleted."""
+    rng = random.Random(22)
+    kinds = {}
+    for _ in range(20_000):
+        header = bytearray(b"P5")
+        for field in (rng.choice([b"0", b"1", b"2", b"3"]), rng.choice([b"1", b"2", b"3"]), b"255"):
+            header += rng.choice(_PGM_SEPARATORS) + field
+        header += rng.choice(_PGM_SEPARATORS)
+        for _ in range(rng.randrange(4)):
+            at = rng.randrange(2, len(header) + 1)
+            if rng.random() < 0.5:
+                header[at:at] = bytes([rng.choice(_PGM_NOISE)])
+            else:
+                del header[at : at + 1]
+        got, want = pgm_outcomes(bytes(header) + _RASTER[: rng.randrange(12)])
+        assert got == want, header
+        kind = "read" if isinstance(got, tuple) else got.split()[1]
+        kinds[kind] = kinds.get(kind, 0) + 1
+    # every outcome of the reader is reached, and not only by a few headers
+    assert set(kinds) == {"read", "truncated", "non-numeric", "width", "maxval", "wanted"}
+    assert min(kinds.values()) >= 100, kinds
 
 
 # ---------------------------------------------------------------------------

@@ -133,6 +133,36 @@ def test_rerun_is_byte_identical(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
 
+_TINY_RUN = ["--data-path", DIGITS, "--n-per-class", "4", "--n-test", "10", "--epochs", "2",
+             "--repetitions", "2"]
+_BLAS_RUNS = {"qcnn": ["train-qcnn", *_TINY_RUN, "--depth", "1"],
+              "cnn": ["train-cnn", *_TINY_RUN],
+              "qcnn10": ["train-qcnn", *_TINY_RUN, "--n-qubits", "10"]}
+
+
+def test_blas_thread_count_does_not_change_outputs(tmp_path):
+    """Every CSV is byte-identical under 1 and 2 OpenBLAS/OpenMP threads.  BLAS reads
+    the count once, when numpy loads, so each count runs in an interpreter of its own;
+    the two run side by side."""
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    code = ("import sys; from qcnnlab.cli import main; "
+            f"sys.exit(max(main([*argv, '--out', sys.argv[1] + '/' + name]) "
+            f"for name, argv in {_BLAS_RUNS!r}.items()))")
+    procs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        procs.append(subprocess.Popen([sys.executable, "-c", code, str(tmp_path / threads)],
+                                      env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE))
+    for proc in procs:
+        err = proc.communicate(timeout=300)[1]
+        assert proc.returncode == 0, err
+    for name in _BLAS_RUNS:
+        one, two = ({p.name: p.read_bytes() for p in (tmp_path / t / name).glob("*.csv")}
+                    for t in ("1", "2"))
+        assert one and one == two, name
+
+
 def test_thread_count_does_not_change_outputs(tmp_path):
     serial = tmp_path / "serial"
     threaded = tmp_path / "threaded"

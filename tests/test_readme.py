@@ -4,10 +4,12 @@ its exit codes agree with the code."""
 import os
 import re
 import shlex
+import struct
 import subprocess
 import sys
 from dataclasses import fields
 
+import numpy as np
 import pytest
 
 from qcnnlab.augment import CONTRAST_RANGE, MAX_ROTATION
@@ -35,10 +37,10 @@ def _named_files(heading):
     return {name.replace("<k>", str(k)) for name in names for k in (0, 1)}
 
 
-def _written(tmp_path, *argv):
+def _written(tmp_path, *argv, data=DIGITS):
     out = tmp_path / argv[0]
     assert main([*argv, "--out", str(out), "--repetitions", "2", "--epochs", "1",
-                 "--data-path", DIGITS]) == 0
+                 "--data-path", str(data)]) == 0
     return {str(p.relative_to(out)) for p in out.rglob("*") if p.is_file()}
 
 
@@ -92,14 +94,31 @@ def test_output_files_section_names_the_files_of_a_two_repetition_run(tmp_path):
     assert _written(tmp_path, "train-qcnn") == _named_files("Output files")
 
 
-def test_augmentation_comparisons_section_names_the_files_of_compare_da(tmp_path):
+def _compare_da_files():
     """comparison.csv and .txt, and one run's "Output files" in each arm's subtree."""
     named = _named_files("Augmentation comparisons")
     arms = {name for name in named if name.endswith("/")}
     assert arms == {"no_da/", "da/"}
     cell = _named_files("Output files")
-    want = (named - arms) | {arm + name for arm in arms for name in cell}
-    assert _written(tmp_path, "compare-da") == want
+    return (named - arms) | {arm + name for arm in arms for name in cell}
+
+
+def test_augmentation_comparisons_section_names_the_files_of_compare_da(tmp_path):
+    assert _written(tmp_path, "compare-da") == _compare_da_files()
+
+
+def test_fashion_dataset_writes_the_documented_files(tmp_path):
+    """The fashion branch of load_pool, end to end: 28x28 IDX files under the two names it
+    joins onto data_path, block-averaged to 7x7 (49 pixels in 64 amplitudes)."""
+    rng = np.random.default_rng(5)
+    (tmp_path / "train-images-idx3-ubyte").write_bytes(
+        struct.pack(">IIII", 0x803, 40, 28, 28)
+        + rng.integers(1, 256, (40, 28, 28), dtype=np.uint8).tobytes())
+    (tmp_path / "train-labels-idx1-ubyte").write_bytes(
+        struct.pack(">II", 0x801, 40) + bytes(np.arange(40, dtype=np.uint8) % 10))
+    fashion = ["--dataset", "fashion", "--resize", "7", "--n-per-class", "2", "--n-test", "2"]
+    assert _written(tmp_path, "train-qcnn", *fashion, data=tmp_path) == _named_files("Output files")
+    assert _written(tmp_path, "compare-da", *fashion, data=tmp_path) == _compare_da_files()
 
 
 def _exit_code_rows():
@@ -153,6 +172,10 @@ _EXIT_EXAMPLES = [
     ("missing or malformed data file",
      ["train-qcnn", "--dataset", "catdog", "--data-path", "{tmp}/empty", *_TINY, "--depth", "1"],
      "empty/cat.pgm: width 0, height 0; both must be >= 1"),
+    ("missing or malformed data file",
+     ["train-qcnn", "--dataset", "fashion", "--data-path", "{tmp}/idx", *_TINY],
+     "data error: {tmp}/idx/train-images-idx3-ubyte: wanted 18446181123756261375 bytes for pixel "
+     "data, got 0"),
 ]
 
 
@@ -165,6 +188,10 @@ def _bad_data(tmp):
     (tmp / "pets" / "dog.pgm").write_bytes(b"P5\n1 4\n255\n" + bytes(4))
     (tmp / "empty").mkdir()
     (tmp / "empty" / "cat.pgm").write_bytes(b"P5\n0 0\n255\n")
+    (tmp / "idx").mkdir()
+    (tmp / "idx" / "train-images-idx3-ubyte").write_bytes(
+        struct.pack(">IIII", 0x803, 0xFFFFFFFF, 0xFFFF, 0xFFFF))
+    (tmp / "idx" / "train-labels-idx1-ubyte").write_bytes(struct.pack(">II", 0x801, 0))
 
 
 def test_every_exit_code_row_has_an_example():
@@ -181,4 +208,4 @@ def test_exit_code_table_gives_the_code_main_returns(tmp_path, capsys, phrase, a
     _bad_data(tmp_path)
     argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
     assert main([*argv, "--out", str(tmp_path / "out")]) == codes[0]
-    assert err in capsys.readouterr().err
+    assert err.replace("{tmp}", str(tmp_path)) in capsys.readouterr().err
