@@ -18,10 +18,10 @@ entry and each window's max and first-wins entry are elementwise ops over
 four planes; conv2d and maxpool2x2 are the reference layers it equals bit
 for bit.  Pooling's backward pass is one flat scatter.
 Every backward pass is checked against central finite differences in the
-test suite.  The model is split into an encode, forward, score and backward
-step, which :func:`training.fit` drives: without augmentation, the
-train-set forward that scores one step is the one the next step's gradient
-starts from.
+test suite.  The model is split into an encode, forward and backward step,
+which :func:`training.fit` drives; the forward scores its batch, and without
+augmentation the train-set forward that scores one step is the one the next
+step's gradient starts from.
 """
 
 from __future__ import annotations
@@ -249,8 +249,8 @@ def _encode(images) -> np.ndarray:
     return np.asarray(images, dtype=np.float64)[..., None]
 
 
-def _forward(model: CnnModel, x: np.ndarray):
-    """Logits, plus the logits and per-layer caches the backward pass replays."""
+def _forward(model: CnnModel, x: np.ndarray, labels):
+    """Mean cross-entropy, accuracy (ties go to class 0), and the cache the backward replays."""
     caches = []
     for kern, bias in zip(model.kernels, model.conv_biases):
         pooled, route = conv_relu_pool(x, kern, bias)
@@ -259,17 +259,13 @@ def _forward(model: CnnModel, x: np.ndarray):
     m = x.shape[0]
     flat = x.reshape(m, -1)
     logits = flat @ model.dense_w + model.dense_b
-    return logits, (caches, flat, x.shape, logits)
+    return (_xent_rows(logits, labels), float(np.mean(np.argmax(logits, axis=1) == labels)),
+            (caches, flat, x.shape, logits, labels))
 
 
-def _score(logits: np.ndarray, labels) -> tuple[float, float]:
-    """Mean cross-entropy and accuracy; ties go to class 0."""
-    return _xent_rows(logits, labels), float(np.mean(np.argmax(logits, axis=1) == labels))
-
-
-def _backward(model: CnnModel, cache, labels) -> np.ndarray:
+def _backward(model: CnnModel, cache) -> np.ndarray:
     """The full flat gradient of the mean cross-entropy from a forward's cache."""
-    caches, flat, pooled_shape, logits = cache
+    caches, flat, pooled_shape, logits, labels = cache
     m = len(labels)
     dlogits = _softmax_rows(logits)
     dlogits[np.arange(m), labels] -= 1.0
@@ -291,16 +287,13 @@ def _backward(model: CnnModel, cache, labels) -> np.ndarray:
             dk, db = _conv_param_grads(x_in, kern, dpre.reshape(-1, kern.shape[3]))
         dkernels.append(dk)
         dbiases.append(db)
-    dkernels.reverse()
-    dbiases.reverse()
-    return np.concatenate([a.reshape(-1) for a in [*dkernels, *dbiases, d_dense_w, d_dense_b]])
+    return CnnModel(tuple(dkernels[::-1]), tuple(dbiases[::-1]), d_dense_w, d_dense_b).pack()
 
 
 def cnn_loss_and_grads(model: CnnModel, images, labels):
     """Mean cross-entropy, accuracy, and the full flat gradient."""
-    labels = np.asarray(labels).reshape(-1)
-    logits, cache = _forward(model, _encode(images))
-    return (*_score(logits, labels), _backward(model, cache, labels))
+    loss, acc, cache = _forward(model, _encode(images), np.asarray(labels).reshape(-1))
+    return loss, acc, _backward(model, cache)
 
 
 def train_cnn(model: CnnModel, train_set, test_set, cfg: TrainConfig,
@@ -308,5 +301,4 @@ def train_cnn(model: CnnModel, train_set, test_set, cfg: TrainConfig,
     """training.fit every kernel/bias/dense weight on the cross-entropy loss;
     returns (per-epoch metrics, trained weights as one :meth:`CnnModel.pack` vector)."""
     return fit(model.pack(), train_set, test_set, cfg, augment_cfg,
-               encode=_encode, bind=model.with_params, forward=_forward,
-               score=_score, backward=_backward)
+               encode=_encode, bind=model.with_params, forward=_forward, backward=_backward)

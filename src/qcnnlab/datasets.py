@@ -69,7 +69,8 @@ def load_digits_csv(path: str | os.PathLike) -> Dataset:
 
 def _parse_digits_rows(path) -> Dataset:
     raw = bytearray()  # every checked field fits in a byte
-    with open(path, "r", encoding="utf-8") as fh:
+    # a byte that is not UTF-8 decodes to a lone surrogate, which no field check accepts
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:

@@ -60,8 +60,10 @@ class ExperimentConfig:
             raise ConfigError(f"unknown dataset {self.dataset!r}")
         if self.repetitions < 1:
             raise ConfigError(f"repetitions must be >= 1, got {self.repetitions}")
-        if not self.class_b or not self.n_per_class:
-            raise ConfigError("class_b and n_per_class must be nonempty")
+        for name in ("class_b", "n_per_class"):  # each value is one grid cell
+            values = getattr(self, name)
+            if not values or len(set(values)) != len(values):
+                raise ConfigError(f"{name} must be nonempty with no repeated value, got {values}")
         if self.class_a in self.class_b:
             raise ConfigError(f"class_a {self.class_a} also appears in class_b {self.class_b}")
         if self.n_test < 2 or self.n_test % 2:
@@ -99,19 +101,23 @@ _AUTO_EPOCHS = {"qcnn": 100, "cnn": 200}
 
 def parse_config_file(path) -> dict[str, str]:
     """`key = value` lines; blank lines and `#` comments are skipped."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeError) as exc:  # missing, a directory, or not UTF-8
+        raise ConfigError(f"{path}: {getattr(exc, 'strerror', None) or exc}") from exc
     out: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected `key = value`, got {line!r}")
-            key, _, value = line.partition("=")
-            key, value = key.strip(), value.strip()
-            if key not in _COERCERS:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            out[key] = value
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected `key = value`, got {line!r}")
+        key, _, value = line.partition("=")
+        key, value = key.strip(), value.strip()
+        if key not in _COERCERS:
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        out[key] = value
     return out
 
 

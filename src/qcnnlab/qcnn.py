@@ -26,10 +26,10 @@ per-gate builders (:func:`conv_block_ops`, :func:`pool_block_ops`,
 :func:`flatten_block_ops`), which stay the one definition of the gates.
 
 :func:`train_qcnn` hands :func:`training.fit` the amplitude embedding,
-:func:`circuit_ops`, the batched forward :func:`run_columns`, the MSE loss
-and its exact gradient: the adjoint method of Jones & Gacon
-(arXiv:2009.02823), one reverse sweep over the fused blocks
-(:func:`_backward`), checked against central finite differences.
+:func:`circuit_ops`, the batched forward :func:`run_columns` scored by the
+MSE loss (:func:`_forward`), and the loss's exact gradient: the adjoint
+method of Jones & Gacon (arXiv:2009.02823), one reverse sweep over the fused
+blocks (:func:`_backward`), checked against central finite differences.
 """
 
 from __future__ import annotations
@@ -467,17 +467,13 @@ def accuracy(p1s, labels) -> float:
     return float(np.mean((p1s > 0.5) == labels))
 
 
-def _forward(arch: Architecture, ops, cols: np.ndarray):
-    """(p1 per column, cache): the cache holds the final states for :func:`_backward`."""
+def _forward(arch: Architecture, ops, cols: np.ndarray, labels):
+    """(MSE loss, accuracy, cache) of the columns; :func:`_backward` takes the cache."""
     ket, p1s = run_columns(arch, ops, cols)
-    return p1s, [ket, p1s]
+    return mse_loss(p1s, labels), accuracy(p1s, labels), [ket, p1s, labels]
 
 
-def _score(p1s, labels) -> tuple[float, float]:
-    return mse_loss(p1s, labels), accuracy(p1s, labels)
-
-
-def _backward(arch: Architecture, ops, cache: list, labels) -> np.ndarray:
+def _backward(arch: Architecture, ops, cache: list) -> np.ndarray:
     """Exact MSE gradient via a reverse sweep with local environments.
 
     Forward gives phi = U_L ... U_1 psi and p1 = <phi|P1|phi> per column.
@@ -494,9 +490,9 @@ def _backward(arch: Architecture, ops, cache: list, labels) -> np.ndarray:
     It holds three (2**n, m) complex states: bra, ket, and the new copy that each gather
     or product makes of one of them.
     """
-    labels = np.asarray(labels, dtype=np.float64).reshape(-1)
-    ket, p1s = cache
+    ket, p1s, labels = cache
     cache.clear()
+    labels = np.asarray(labels, dtype=np.float64).reshape(-1)
     shape = ket.shape
     (_, gathers), ones = _plan(arch, ops)
     bra = ket * (2.0 * (p1s - labels) / labels.size)
@@ -524,8 +520,7 @@ def grad_exact(arch: Architecture, params, images, labels) -> np.ndarray:
     if len(images) != labels.size:
         raise TrainingError(f"{len(images)} images vs {labels.size} labels")
     ops = circuit_ops(arch, params)
-    _, cache = _forward(arch, ops, embed_columns(images, arch.n_qubits))
-    return _backward(arch, ops, cache, labels)
+    return _backward(arch, ops, _forward(arch, ops, embed_columns(images, arch.n_qubits), labels)[2])
 
 
 def init_params(arch: Architecture, seed: int) -> np.ndarray:
@@ -548,4 +543,4 @@ def train_qcnn(arch: Architecture, train_set, test_set, cfg: TrainConfig,
     return fit(init_params(arch, cfg.seed), train_set, test_set, cfg, augment_cfg,
                encode=partial(embed_columns, n_qubits=arch.n_qubits),
                bind=partial(circuit_ops, arch), forward=partial(_forward, arch),
-               score=_score, backward=partial(_backward, arch))
+               backward=partial(_backward, arch))

@@ -2,13 +2,13 @@
 
 :func:`fit` is the one epoch loop: full-batch Adam with the learning rate
 starting at 0.1 and decaying 5% per epoch.  Each model module (``qcnn``,
-``cnn``) gives :func:`fit` the same five functions (encode, bind, forward,
-score, backward), and :func:`fit` owns the one forward cache for both: it
-binds each parameter vector once, and without augmentation hands the
-metrics' train-set forward after a step to the next step's backward.  An
-epoch augments (if enabled) and encodes its batch in one array pass.
-:func:`grad_fd` is the central finite-difference oracle that each model's
-exact gradient is held to.
+``cnn``) gives :func:`fit` the same four functions (encode, bind, forward,
+backward), each forward scoring the batch it runs, and :func:`fit` owns the
+one forward cache for both: it binds each parameter vector once, and without
+augmentation hands the metrics' train-set forward after a step to the next
+step's backward.  An epoch augments (if enabled) and encodes its batch in one
+array pass.  :func:`grad_fd` is the central finite-difference oracle that
+each model's exact gradient is held to.
 """
 
 from __future__ import annotations
@@ -118,7 +118,7 @@ _HEAP_TRIM_LIFT = 1 << 20
 
 
 def fit(params, train_set, test_set, cfg: TrainConfig, augment_cfg: AugmentConfig | None,
-        *, encode, bind, forward, score, backward):
+        *, encode, bind, forward, backward):
     """Full-batch Adam training; returns (metrics, final params).
 
     The metrics are an (epochs,) :data:`METRICS` recarray, one record per
@@ -126,18 +126,18 @@ def fit(params, train_set, test_set, cfg: TrainConfig, augment_cfg: AugmentConfi
 
     The model supplies ``encode(pixels)``, its input for an (m, h, w) float stack that
     fit divides from a set's levels by its ``scale``; ``bind(params)``, called once per
-    parameter vector; ``forward(bound, batch) -> (outputs, cache)``; ``score(outputs,
-    labels) -> (loss, accuracy)``; and ``backward(bound, cache, labels) -> grads``.
+    parameter vector; ``forward(bound, batch, labels) -> (loss, accuracy, cache)``, which
+    scores its batch; and ``backward(bound, cache) -> grads``, which takes labels from the cache.
     The clean sets stay in their 8-bit levels for the whole run: each forward that reads
     one divides and encodes it afresh, and fit keeps no encoded copy of its own.
 
-    After each step the clean test set and then the clean train set are forwarded and
-    scored, so that only the train forward's cache stays alive, and it is handed to the
-    next step's backward: without augmentation it is that step's own forward.
-    Augmentation, when enabled, divides and redraws the training images every epoch in
-    one :func:`augment_batch` pass over a stream seeded by [seed, 1]; the scores' cache
-    is then dropped, and the gradient forwards the augmented batch.  A step that leaves
-    a non-finite parameter or loss raises TrainingError.
+    After each step the clean test set and then the clean train set are forwarded, so
+    that only the train forward's cache stays alive, and it is handed to the next step's
+    backward: without augmentation it is that step's own forward.  Augmentation, when
+    enabled, divides and redraws the training images every epoch in one
+    :func:`augment_batch` pass over a stream seeded by [seed, 1]; the train forward's
+    cache is then dropped, and the gradient forwards the augmented batch.  A step that
+    leaves a non-finite parameter or loss raises TrainingError.
     """
     rows = np.recarray(cfg.epochs, METRICS)
     np.empty(_HEAP_TRIM_LIFT)  # allocated and freed at once
@@ -147,25 +147,24 @@ def fit(params, train_set, test_set, cfg: TrainConfig, augment_cfg: AugmentConfi
     aug_rng = np.random.default_rng([cfg.seed, 1]) if augmenting else None
 
     bound = bind(params)
-    # (outputs, cache) of the forward the next backward starts from; popped
-    # straight into that call, so that no name here keeps the cache alive
-    kept = [] if augmenting else [forward(bound, inputs(0))]
+    # (loss, accuracy, cache) of the forward the next backward starts from;
+    # popped straight into that call, so that no name here keeps the cache alive
+    kept = [] if augmenting else [forward(bound, inputs(0), labels[0])]
     moments = None
     for epoch in range(cfg.epochs):
         lr = lr_at(epoch, cfg)
         # a diverging step overflows; the finiteness check below reports it
         with np.errstate(over="ignore", invalid="ignore"):
             if augmenting:
-                kept.append(forward(bound, encode(
-                    augment_batch(train_set.pixels(slice(None)), augment_cfg, aug_rng))))
-            grads = backward(bound, kept.pop()[1], labels[0])
+                kept.append(forward(bound, encode(augment_batch(
+                    train_set.pixels(slice(None)), augment_cfg, aug_rng)), labels[0]))
+            grads = backward(bound, kept.pop()[2])
             params, moments = adam_step(params, grads, moments, epoch + 1, lr)
             del bound  # free the old parameters' model before the next bind
             bound = bind(params)
-            test_out = forward(bound, inputs(1))[0]
-            kept.append(forward(bound, inputs(0)))
-            tr_loss, tr_acc = score(kept[-1][0], labels[0])
-            te_loss, te_acc = score(test_out, labels[1])
+            te_loss, te_acc = forward(bound, inputs(1), labels[1])[:2]  # its cache dies here
+            kept.append(forward(bound, inputs(0), labels[0]))
+            tr_loss, tr_acc = kept[-1][:2]
         if augmenting:
             kept.clear()
         if not (np.all(np.isfinite(params)) and np.isfinite(tr_loss) and np.isfinite(te_loss)):

@@ -544,7 +544,7 @@ def test_train_cnn_equals_the_reference_loop_exactly(hw, aug):
     assert params.tobytes() == ref_params.tobytes()
 
 
-def _reference_forward(model, x):
+def _reference_forward(model, x, labels):
     """The forward pass composed from the reference layers, one call each."""
     caches = []
     for kern, bias in zip(model.kernels, model.conv_biases):
@@ -554,7 +554,8 @@ def _reference_forward(model, x):
         x = pooled
     flat = x.reshape(len(x), -1)
     logits = flat @ model.dense_w + model.dense_b
-    return logits, (caches, flat, x.shape, logits)
+    return (cnn._xent_rows(logits, labels), float(np.mean(np.argmax(logits, axis=1) == labels)),
+            (caches, flat, x.shape, logits, labels))
 
 
 @pytest.mark.parametrize("scale", [1, 2])  # 8x8 digits, and block-upsampled to 16x16

@@ -104,6 +104,13 @@ def test_digits_rejects_non_integer(tmp_path):
         load_digits_csv(path)
 
 
+def test_digits_rejects_a_byte_that_is_not_utf8(tmp_path):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(b"3," + b"0," * 63 + b"0\n7,\xe9" + b",0" * 63 + b"\n")
+    with pytest.raises(DatasetError, match=":2: non-integer field"):
+        load_digits_csv(path)
+
+
 def test_bundled_digits_file_loads():
     ds = load_digits_csv(DIGITS_CSV)
     assert len(ds) == 1797

@@ -367,6 +367,28 @@ def test_cli_missing_dataset_path_is_data_error(tmp_path, capsys):
     assert "absent.csv" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind", ["missing", "a directory", "not UTF-8"])
+def test_cli_unreadable_config_file_is_config_error(tmp_path, capsys, kind):
+    cfg = tmp_path / "run.cfg"
+    if kind == "a directory":
+        cfg.mkdir()
+    elif kind == "not UTF-8":
+        cfg.write_bytes(b"epochs = 1\n# \xff\n")
+    assert main(["train-qcnn", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {cfg}: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("key", ["class_b", "n_per_class"])
+def test_a_repeated_grid_value_is_refused(tmp_path, key):
+    """A repeated value would train one cell twice and write it once."""
+    with pytest.raises(ConfigError, match=f"{key} must be nonempty with no repeated value"):
+        resolve_config({key: "2,3,2"}, {})
+    out = tmp_path / "o"
+    assert main(["compare-da", "--" + key.replace("_", "-"), "5,5", "--out", str(out)]) == 1
+    assert not out.exists()
+
+
 def test_cli_bad_config_value_is_usage_error(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("epochs = soon\n")

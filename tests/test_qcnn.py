@@ -534,7 +534,7 @@ def test_run_columns_and_backward_are_bitwise_the_two_gather_reference(n, d, m):
     mask = ((np.arange(2**n) >> arch.readout_wire) & 1).astype(bool)
     assert np.array_equal(ket, want)
     assert np.array_equal(p1s, np.sum(np.abs(want[mask]) ** 2, axis=0))
-    assert np.array_equal(qcnn._backward(arch, ops, [ket, p1s], labels),
+    assert np.array_equal(qcnn._backward(arch, ops, [ket, p1s, labels]),
                           two_gather_backward(arch, ops, want, p1s, labels))
 
 

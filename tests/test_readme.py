@@ -176,11 +176,20 @@ _EXIT_EXAMPLES = [
      ["train-qcnn", "--dataset", "fashion", "--data-path", "{tmp}/idx", *_TINY],
      "data error: {tmp}/idx/train-images-idx3-ubyte: wanted 18446181123756261375 bytes for pixel "
      "data, got 0"),
+    ("a `--config` file that cannot be read", ["train-qcnn", "--config", "{tmp}/latin1.cfg"],
+     "config error: {tmp}/latin1.cfg: 'utf-8' codec can't decode byte 0xe9"),
+    ("a repeated value in `class_b` or `n_per_class`",
+     ["train-qcnn", "--data-path", DIGITS, *_RUN, "--class-b", "1,1"],
+     "config error: class_b must be nonempty with no repeated value, got (1, 1)"),
+    ("missing or malformed data file", ["train-qcnn", "--data-path", "{tmp}/latin1.csv", *_RUN],
+     "data error: {tmp}/latin1.csv:1: non-integer field"),
 ]
 
 
 def _bad_data(tmp):
     (tmp / "short.csv").write_text("1,2,3\n")
+    (tmp / "latin1.csv").write_bytes(b"3,\xff" + b",0" * 63 + b"\n")
+    (tmp / "latin1.cfg").write_bytes(b"# caf\xe9\nepochs = 1\n")
     (tmp / "blank.csv").write_text("".join(f"{label}," + ",".join(["0"] * 64) + "\n"
                                            for label in (0, 0, 1, 1)))
     (tmp / "pets").mkdir()

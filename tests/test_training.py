@@ -357,17 +357,17 @@ def test_evaluate_returns_loss_and_accuracy():
 def test_divergent_step_raises_training_error():
     train, test = _toy_sets(np.random.default_rng(15))
     cfg = TrainConfig(epochs=3, seed=2)
-    # a stand-in model whose outputs are its input batch
-    model = dict(encode=list, bind=lambda p: p, forward=lambda p, x: (x, None))
-    finite_score = lambda out, y: (0.25, 0.5)
+    # a stand-in model whose batch is its input list
+    model = dict(encode=list, bind=lambda p: p)
+    finite_forward = lambda p, x, y: (0.25, 0.5, None)
     with pytest.raises(TrainingError, match="seed 2, epoch 0, lr 0.1"):
-        fit(np.zeros(3), train, test, cfg, None, **model, score=finite_score,
-            backward=lambda p, cache, y: np.full_like(p, np.nan))
+        fit(np.zeros(3), train, test, cfg, None, **model, forward=finite_forward,
+            backward=lambda p, cache: np.full_like(p, np.nan))
     with pytest.raises(TrainingError, match="seed 2, epoch 0, lr 0.1"):
-        fit(np.zeros(3), train, test, cfg, None, **model, backward=lambda p, cache, y: p + 1,
-            score=lambda out, y: (np.inf if len(out) == len(test) else 0.25, 0.5))
+        fit(np.zeros(3), train, test, cfg, None, **model, backward=lambda p, cache: p + 1,
+            forward=lambda p, x, y: (np.inf if len(x) == len(test) else 0.25, 0.5, None))
     rows, _ = fit(np.zeros(3), train, test, cfg, None, **model,
-                  backward=lambda p, cache, y: p + 1, score=finite_score)
+                  backward=lambda p, cache: p + 1, forward=finite_forward)
     assert len(rows) == 3
 
 
@@ -497,6 +497,26 @@ def test_the_sweep_frees_the_forward_states_block_by_block(monkeypatch, aug):
     blocks = len(circuit_ops(arch, init_params(arch, 1)))
     assert at_forward == [0] * len(at_forward)
     assert at_block == [0] * blocks * 3
+
+
+@pytest.mark.parametrize("aug", [None, AugmentConfig(rotation=True)])
+def test_no_cnn_forward_cache_is_alive_while_the_next_forward_runs(monkeypatch, aug):
+    """The CNN side of the same rule: each backward drops the cache it is handed,
+    and the test forward keeps none, so no earlier forward's activations are alive
+    when the next forward starts."""
+    train, test = _toy_sets(np.random.default_rng(20))
+    flats = []
+    alive = lambda: sum(ref() is not None for ref in flats)
+
+    def at_forward_end(args, out):
+        count = alive()
+        flats.append(weakref.ref(out[2][1]))
+        return count
+
+    at_forward = _record_calls(monkeypatch, cnn, "_forward", at_forward_end)
+    train_cnn(build_cnn((8, 8), seed=1), train, test, TrainConfig(epochs=3, seed=1), augment_cfg=aug)
+    assert len(at_forward) == (9 if aug else 7)
+    assert at_forward == [0] * len(at_forward)
 
 
 def test_a_ten_qubit_fit_holds_at_most_three_states_and_a_half(monkeypatch):
