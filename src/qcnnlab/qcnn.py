@@ -20,9 +20,9 @@ final layer, so the total is 18*d + 4**r - 1.
 The simulated circuit is a list of fused blocks (:func:`circuit_ops`): one
 4x4 matrix per convolution pair and per pooling pair, and one 2**r x 2**r
 matrix for the final layer, each always carrying its derivative for every
-angle it depends on.  A cached table places closed-form gate stacks, which
-are multiplied in gate order, so a block is bit for bit the product of the
-per-gate builders (:func:`conv_block_ops`, :func:`pool_block_ops`,
+angle it depends on.  Closed-form gate stacks are written straight into the
+chains and multiplied in gate order, so a block is bit for bit the product
+of the per-gate builders (:func:`conv_block_ops`, :func:`pool_block_ops`,
 :func:`flatten_block_ops`), which stay the one definition of the gates.
 
 :func:`train_qcnn` hands :func:`training.fit` the amplitude embedding,
@@ -62,6 +62,7 @@ class QcnnError(ValueError):
 CONV_WEIGHTS = 15
 POOL_WEIGHTS = 3
 BLOCK_WEIGHTS = CONV_WEIGHTS + POOL_WEIGHTS
+MAX_READOUT_WIRES = 5  # a 6-wire readout's Pauli words alone take 256 MiB at every bind
 
 
 @dataclass(frozen=True)
@@ -86,7 +87,8 @@ def build_architecture(n_qubits: int, depth: int) -> Architecture:
     """Survivor lists under even-position pooling, plus the parameter count.
 
     Each pooling keeps the even-position wires of the current active list,
-    so the width goes n -> ceil(n/2) per depth (10 -> 5 -> 3 at depth 2).
+    so the width goes n -> ceil(n/2) per depth (10 -> 5 -> 3 at depth 2).  A
+    readout wider than :data:`MAX_READOUT_WIRES` is refused.
     """
     if n_qubits < 2:
         raise QcnnError(f"need at least 2 qubits, got {n_qubits}")
@@ -99,6 +101,9 @@ def build_architecture(n_qubits: int, depth: int) -> Architecture:
             raise QcnnError(f"depth {depth} exhausts a {n_qubits}-qubit register")
         per_depth.append(wires)
         wires = wires[0::2]
+    if len(wires) > MAX_READOUT_WIRES:
+        raise QcnnError(f"a {len(wires)}-wire readout takes {4**len(wires) - 1} rotations; "
+                        f"at most {MAX_READOUT_WIRES} wires are supported, so raise depth")
     return Architecture(n_qubits, depth, tuple(per_depth), wires)
 
 
@@ -242,34 +247,6 @@ def _place(blocks: np.ndarray, u: np.ndarray, wire) -> None:
 
 
 @lru_cache(maxsize=None)
-def _chain_table(depth: int) -> tuple[np.ndarray, np.ndarray]:
-    """Where :func:`circuit_ops` gathers each entry of the 4x4 chain's gates
-    (7, rows, 4, 4) and derivatives (rows, 15, 4, 4) from, as positions in
-    [U3s, Ising rotations, 0, 1] and [dU3s, dIsing, 0, 1].
-
-    Row 0 is the first depth's head convolution block, rows 1..D the plain
-    ones, with the identity at the head positions, and rows D+1..2D the
-    pooling blocks, with their gate at the last position.  Derivatives
-    follow _DERIV_POS; plain rows use the first 9 and pooling rows 3.
-    """
-    u, du = np.arange(20 * depth).reshape(depth, 5, 2, 2), np.arange(60 * depth).reshape(depth, 5, 3, 2, 2)
-    x, dx = (offset + np.arange(48 * depth).reshape(depth, 3, 4, 4) for offset in (20 * depth, 60 * depth))
-    conv = [0, *range(depth)] if depth else []  # the depth of each convolution row
-    gates = np.full((7, len(conv) + depth, 4, 4), -2)  # -2 and -1 index the trailing 0 and 1
-    gates[..., range(4), range(4)] = -1
-    derivs = np.full((len(conv) + depth, 15, 4, 4), -2)
-    for pos, slot, wire, k in ((0, 0, 0, 12), (1, 1, 1, 9), (5, 2, 0, 3), (6, 3, 1, 0)):
-        rows = slice(0, 1 if pos < 2 else depth + 1)
-        _place(gates[pos, rows], u[conv[rows], slot], wire)
-        _place(derivs[rows, k:k + 3], du[conv[rows], slot], wire)
-    gates[2:5, :depth + 1] = np.swapaxes(x[conv], 0, 1)
-    derivs[:depth + 1, 6:9] = dx[conv, ::-1]
-    _place(gates[6, depth + 1:], u[:, 4], None)
-    _place(derivs[depth + 1:, :3], du[:, 4], None)
-    return gates, derivs
-
-
-@lru_cache(maxsize=None)
 def _readout_words(r: int) -> np.ndarray:
     """The readout's (4**r - 1, 2**r, 2**r) Pauli words in gate order, built once per r."""
     return np.stack([pauli_word_matrix(pauli_word(k, r)) for k in range(1, 4**r)])
@@ -277,8 +254,8 @@ def _readout_words(r: int) -> np.ndarray:
 
 def _u3_stacks(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """:func:`u3_matrix` and its (theta, phi, lam) derivatives for a (..., 3)
-    stack of angles, as (..., 4) and (..., 12) entries, each the same
-    expression as in the one-gate closed form."""
+    stack of angles, as (..., 2, 2) and (..., 3, 2, 2) stacks, each entry the
+    same expression as in the one-gate closed form."""
     theta, phi, lam = angles[..., 0], angles[..., 1], angles[..., 2]
     c, s = np.cos(theta / 2), np.sin(theta / 2)
     ep, el, epl = np.exp(1j * phi), np.exp(1j * lam), np.exp(1j * (phi + lam))
@@ -287,7 +264,7 @@ def _u3_stacks(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     dm = np.stack([-0.5 * s, -0.5 * el * c, 0.5 * ep * c, -0.5 * epl * s,
                    zero, zero, 1j * ep * s, 1j * epl * c,
                    zero, -1j * el * s, zero, 1j * epl * c], axis=-1)
-    return m, dm
+    return m.reshape(theta.shape + (2, 2)), dm.reshape(theta.shape + (3, 2, 2))
 
 
 def _rotations(theta: np.ndarray, words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -322,22 +299,34 @@ def circuit_ops(arch: Architecture, params) -> list[GateOp]:
     One 4x4 block per convolution pair, one per pooling pair and one
     2**r x 2**r block for the final layer; each distinct block is shared by
     every pair it acts on.  All U3s, Ising and readout rotations are
-    evaluated with their derivatives as closed-form stacks, and one gather
-    through :func:`_chain_table` places them.  The chains are multiplied in
-    gate order (:func:`_chain`), and a parameter of gate j gets
+    evaluated with their derivatives as closed-form stacks and written
+    straight into gate chains, which are multiplied in gate order
+    (:func:`_chain`), and a parameter of gate j gets
     suffix[j] @ dG_j @ prefix[j], so each result is the per-gate product,
     term for term.
     """
     params = np.asarray(params, dtype=np.float64).reshape(-1)
     _, readout_w = split_params(arch, params)
     depth = arch.depth
-    w = params[:BLOCK_WEIGHTS * depth].reshape(depth, BLOCK_WEIGHTS)
+    # Chain rows: 0 the first depth's head convolution block, 1..D the plain ones (identity at
+    # the two head positions), D+1..2D the pooling blocks (their gate last); derivatives follow
+    # _DERIV_POS, all 15 for the head, the first 9 for plain rows and 3 for pooling.
+    conv = [0, *range(depth)] if depth else []  # the depth of each convolution row and of u's rows
+    w = params[:BLOCK_WEIGHTS * depth].reshape(depth, BLOCK_WEIGHTS)[conv]
     u, du = _u3_stacks(w[:, _U3_WEIGHTS])
     x, dx = _rotations(w[:, 6:9], _ISING)
-    const = np.array([0, 1], dtype=np.complex128)
-    gate_at, deriv_at = _chain_table(depth)
-    prefix, suffix = _chain(np.concatenate([u.ravel(), x.ravel(), const])[gate_at])
-    dg = np.concatenate([du.ravel(), dx.ravel(), const])[deriv_at]
+    gates = np.empty((7, len(conv) + depth, 4, 4), dtype=np.complex128)
+    gates[...] = np.eye(4)
+    dg = np.zeros((len(conv) + depth, 15, 4, 4), dtype=np.complex128)
+    for pos, slot, wire, k in ((0, 0, 0, 12), (1, 1, 1, 9), (5, 2, 0, 3), (6, 3, 1, 0)):
+        rows = slice(0, 1 if pos < 2 else depth + 1)
+        _place(gates[pos, rows], u[rows, slot], wire)
+        _place(dg[rows, k:k + 3], du[rows, slot], wire)
+    gates[2:5, :depth + 1] = np.swapaxes(x, 0, 1)
+    dg[:depth + 1, 6:9] = dx[:, ::-1]
+    _place(gates[6, depth + 1:], u[1:, 4], None)
+    _place(dg[depth + 1:, :3], du[1:, 4], None)
+    prefix, suffix = _chain(gates)
     derivs = suffix[_DERIV_POS].swapaxes(0, 1) @ dg @ prefix[_DERIV_POS].swapaxes(0, 1)
     blocks = prefix[-1].copy()  # copies, so that the ops do not hold the chain buffers
     ops: list[GateOp] = []

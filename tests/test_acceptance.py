@@ -16,6 +16,8 @@ from qcnnlab.cnn import build_cnn, cnn_loss_and_grads, train_cnn
 from qcnnlab.datasets import binary_subset, load_digits_csv
 from qcnnlab.harness import ExperimentConfig, compare_da, run_experiment
 from qcnnlab.qcnn import (
+    MAX_READOUT_WIRES,
+    QcnnError,
     batch_p1s,
     build_architecture,
     circuit_ops,
@@ -166,7 +168,8 @@ def test_criterion_04_gradient_checks():
 
 
 def test_criterion_05_parameter_counting():
-    """(10,2) gives 99 parameters; layout matches 18d + 4^r - 1 exhaustively."""
+    """(10,2) gives 99 parameters; layout matches 18d + 4^r - 1 exhaustively
+    up to a 5-wire readout, and a wider one is refused."""
     ok = build_architecture(10, 2).param_count == 99
     detail = [f"(10,2) -> {build_architecture(10, 2).param_count}"]
     for n in range(2, 11):
@@ -182,6 +185,11 @@ def test_criterion_05_parameter_counting():
                 width = (width + 1) // 2
             if not feasible or d > 3:
                 break
+            if width > MAX_READOUT_WIRES:  # refused before any bind allocates its readout
+                with pytest.raises(QcnnError, match=f"a {width}-wire readout .* raise depth"):
+                    build_architecture(n, d)
+                d += 1
+                continue
             arch = build_architecture(n, d)
             expect = 18 * d + 4**width - 1
             ok &= arch.param_count == expect

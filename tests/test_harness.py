@@ -462,6 +462,11 @@ def test_cli_infeasible_architecture_is_config_error(tmp_path, capsys):
     assert "exhausts" in _rejected_up_front(tmp_path, capsys, "--n-qubits", "2", "--depth", "2")
 
 
+def test_cli_readout_wider_than_five_wires_is_config_error(tmp_path, capsys):
+    err = _rejected_up_front(tmp_path, capsys, "--depth", "0")
+    assert "a 6-wire readout takes 4095 rotations" in err and "raise depth" in err
+
+
 def test_cli_register_too_small_for_images_is_config_error(tmp_path, capsys):
     assert "64 pixels" in _rejected_up_front(tmp_path, capsys, "--n-qubits", "5", "--depth", "1")
     assert "16 pixels" in _rejected_up_front(tmp_path, capsys, "--n-qubits", "3", "--depth", "1",

@@ -53,6 +53,15 @@ def test_too_deep_rejected():
         qcnn.build_architecture(2, 2)
 
 
+def test_readout_wider_than_five_wires_rejected():
+    assert len(qcnn.build_architecture(5, 0).remaining_wires) == qcnn.MAX_READOUT_WIRES
+    assert qcnn.build_architecture(10, 1).param_count == 18 + 1023
+    for n, d, r in ((6, 0, 6), (7, 0, 7), (11, 1, 6), (12, 1, 6)):
+        with pytest.raises(qcnn.QcnnError,
+                           match=f"a {r}-wire readout takes {4**r - 1} rotations; .* raise depth"):
+            qcnn.build_architecture(n, d)
+
+
 def test_param_count_matches_layout_for_all_small_sizes():
     for n in range(2, 11):
         for d in range(0, 4):
@@ -403,27 +412,29 @@ def allowed_shapes():
         for d in range(n):
             try:
                 arch = qcnn.build_architecture(n, d)
-            except qcnn.QcnnError:  # the depth exhausts the register
-                break
+            except qcnn.QcnnError:  # the depth exhausts the register or leaves too wide a readout
+                continue
             if len(arch.remaining_wires) <= 4:
                 yield arch
 
 
 def test_circuit_ops_is_bitwise_the_per_gate_fused_reference():
     rng = np.random.default_rng(34)
-    for arch in allowed_shapes():
+    shapes = list(allowed_shapes())
+    assert len({(arch.n_qubits, arch.depth) for arch in shapes}) == len(shapes) == 32
+    for arch in shapes:
         for _ in range(3):
             params = rng.uniform(-np.pi, np.pi, arch.param_count)
             got, want = qcnn.circuit_ops(arch, params), reference_circuit_ops(arch, params)
             assert len(got) == len(want)
             for g, w in zip(got, want):
                 assert g.targets == w.targets
-                assert np.array_equal(g.matrix, w.matrix)
+                assert g.matrix.tobytes() == w.matrix.tobytes()  # signs of zero count too
                 (g_index, g_derivs), (w_index, w_derivs) = g.grads, w.grads
                 assert sorted(g_index.tolist()) == sorted(w_index.tolist())
                 by_index = dict(zip(w_index.tolist(), w_derivs))
                 for p, dm in zip(g_index.tolist(), g_derivs):
-                    assert np.array_equal(dm, by_index[p])
+                    assert dm.tobytes() == by_index[p].tobytes()
                 eye = np.eye(len(g.matrix))
                 assert np.max(np.abs(g.matrix.conj().T @ g.matrix - eye)) <= 1e-10
 

@@ -183,6 +183,9 @@ _EXIT_EXAMPLES = [
      "config error: class_b must be nonempty with no repeated value, got (1, 1)"),
     ("missing or malformed data file", ["train-qcnn", "--data-path", "{tmp}/latin1.csv", *_RUN],
      "data error: {tmp}/latin1.csv:1: non-integer field"),
+    ("a depth that leaves a readout wider than 5 wires",
+     ["train-qcnn", "--data-path", DIGITS, *_RUN, "--depth", "0"],
+     "config error: a 6-wire readout takes 4095 rotations; at most 5 wires are supported, so raise depth"),
 ]
 
 
