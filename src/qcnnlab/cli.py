@@ -26,6 +26,7 @@ from .harness import (
     _check_out_dir,
     _write_atomically,
     compare_da,
+    format_comparison,
     load_pool,
     parse_config_file,
     resolve_config,
@@ -90,8 +91,7 @@ def _cmd_train(args, model: str) -> int:
 
 def _cmd_compare_da(args) -> int:
     cfg = _resolved_config(args, args.model_choice)
-    table = compare_da(cfg, args.out)
-    print(table.to_text(), end="")
+    print(format_comparison(compare_da(cfg, args.out))[1], end="")
     print(f"wrote {args.out}")
     return 0
 

@@ -154,6 +154,20 @@ def format_config(cfg: ExperimentConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
+def format_comparison(pairs: list[tuple[RunResult, RunResult]]) -> tuple[str, str]:
+    """comparison.csv and the printed table: one row per grid cell's
+    (no-DA, DA) pair, whose delta is DA minus no-DA mean final test accuracy."""
+    header = f"{'pair':>8} {'N':>5} {'no DA':>8} {'DA':>8} {'delta':>8}"
+    csv, table = ["class_a,class_b,n_per_class,acc_no_da,acc_da,delta"], [header, "-" * len(header)]
+    for no, da in pairs:
+        acc_no, acc_da = no.mean_final_test_acc, da.mean_final_test_acc
+        csv.append(f"{no.class_a},{no.class_b},{no.n_per_class},"
+                   f"{acc_no:.6g},{acc_da:.6g},{acc_da - acc_no:.6g}")
+        table.append(f"{no.class_a}-vs-{no.class_b:<3} {no.n_per_class:>5} "
+                     f"{acc_no:>8.4f} {acc_da:>8.4f} {acc_da - acc_no:>+8.4f}")
+    return "\n".join(csv) + "\n", "\n".join(table) + "\n"
+
+
 # ---------------------------------------------------------------------------
 # running
 # ---------------------------------------------------------------------------
@@ -193,12 +207,22 @@ def load_pool(cfg: ExperimentConfig) -> Dataset:
     return ds
 
 
-def _check_register(cfg: ExperimentConfig, pool: Dataset) -> None:
-    """A QCNN's 2**n_qubits amplitudes must hold every (resized) image."""
+def _check_pool(cfg: ExperimentConfig, pool: Dataset) -> None:
+    """Refuse, before any repetition trains, a pool that some cell cannot use:
+    images that a QCNN's 2**n_qubits amplitudes cannot hold or that are too
+    small for the CNN to pool, or a class with too few images for a cell."""
     pixels = pool.images[0].size if len(pool) else 0
     if cfg.model == "qcnn" and pixels > 2**cfg.n_qubits:
         raise ConfigError(f"{pixels} pixels per image need more than n_qubits = {cfg.n_qubits} "
                           f"({2**cfg.n_qubits} amplitudes); raise n_qubits or set resize")
+    if cfg.model == "cnn":
+        try:
+            build_cnn(pool.images.shape[1:], cfg.base_seed)
+        except TrainingError as exc:
+            raise ConfigError(str(exc)) from exc
+    for class_b in cfg.class_b:  # binary_subset owns the class-size rule and seeds its own draw
+        for n in cfg.n_per_class:
+            binary_subset(pool, cfg.class_a, class_b, n, cfg.n_test, cfg.base_seed)
 
 
 def _train_one_rep(cfg: ExperimentConfig, pool: Dataset, class_b: int,
@@ -258,12 +282,16 @@ def _write_arm(base: str, cfg: ExperimentConfig, results: list[RunResult]) -> No
 
 def _check_out_dir(out_dir: str) -> None:
     """Refuse an output path that already holds something, so a run's files
-    never sit beside an older run's."""
-    if not os.path.exists(out_dir):
-        return
-    if not os.path.isdir(out_dir):
-        raise ConfigError(f"output path {out_dir} exists and is not a directory")
-    if os.listdir(out_dir):
+    never sit beside an older run's, or that lies under a non-directory, so a
+    run never trains only to fail at its first write.  Creates nothing: a
+    missing parent is made by _write_atomically."""
+    target = path = os.path.abspath(out_dir)
+    while not os.path.exists(path):
+        path = os.path.dirname(path)
+    if not os.path.isdir(path):
+        under = "" if path == target else f" lies under {path}, which"
+        raise ConfigError(f"output path {out_dir}{under} exists and is not a directory")
+    if path == target and os.listdir(path):
         raise ConfigError(f"output directory {out_dir} is not empty; "
                           "choose a new --out or remove the old run first")
 
@@ -293,7 +321,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str) -> list[RunResult]:
     """Train the full grid, then write per-rep curves, means, and the echo."""
     _check_out_dir(out_dir)
     pool = load_pool(cfg)
-    _check_register(cfg, pool)
+    _check_pool(cfg, pool)
     results = _compute_experiment(cfg, pool)
     _write_atomically(out_dir, lambda tmp: _write_arm(tmp, cfg, results))
     return results
@@ -303,44 +331,12 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str) -> list[RunResult]:
 # with/without augmentation comparison
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ComparisonRow:
-    class_a: int
-    class_b: int
-    n_per_class: int
-    acc_no_da: float
-    acc_da: float
-
-    @property
-    def delta(self) -> float:
-        return self.acc_da - self.acc_no_da
-
-
-@dataclass(frozen=True)
-class ComparisonTable:
-    rows: tuple[ComparisonRow, ...]
-
-    def to_csv(self) -> str:
-        lines = ["class_a,class_b,n_per_class,acc_no_da,acc_da,delta"]
-        for r in self.rows:
-            lines.append(f"{r.class_a},{r.class_b},{r.n_per_class},"
-                         f"{r.acc_no_da:.6g},{r.acc_da:.6g},{r.delta:.6g}")
-        return "\n".join(lines) + "\n"
-
-    def to_text(self) -> str:
-        header = f"{'pair':>8} {'N':>5} {'no DA':>8} {'DA':>8} {'delta':>8}"
-        lines = [header, "-" * len(header)]
-        for r in self.rows:
-            lines.append(f"{r.class_a}-vs-{r.class_b:<3} {r.n_per_class:>5} "
-                         f"{r.acc_no_da:>8.4f} {r.acc_da:>8.4f} {r.delta:>+8.4f}")
-        return "\n".join(lines) + "\n"
-
-
-def compare_da(cfg: ExperimentConfig, out_dir: str) -> ComparisonTable:
+def compare_da(cfg: ExperimentConfig, out_dir: str) -> list[tuple[RunResult, RunResult]]:
     """Run both arms with identical seeds; only the augmentation differs.
 
     Everything is computed before anything is written: per-rep curves for
     both arms under no_da/ and da/, then the comparison CSV and text table.
+    Returns each grid cell's (no-DA, DA) pair.
     """
     # every dataset has an augmentation preset of the same name
     aug_name = cfg.augment if cfg.augment != "none" else cfg.dataset
@@ -349,22 +345,18 @@ def compare_da(cfg: ExperimentConfig, out_dir: str) -> ComparisonTable:
 
     _check_out_dir(out_dir)
     pool = load_pool(cfg)
-    _check_register(cfg, pool)
+    _check_pool(cfg, pool)
     no_results = _compute_experiment(no_cfg, pool)
     da_results = _compute_experiment(da_cfg, pool)
 
-    rows = tuple(
-        ComparisonRow(a.class_a, a.class_b, a.n_per_class,
-                      a.mean_final_test_acc, b.mean_final_test_acc)
-        for a, b in zip(no_results, da_results)
-    )
-    table = ComparisonTable(rows)
+    pairs = list(zip(no_results, da_results))
+    csv_text, table_text = format_comparison(pairs)
 
     def write(tmp):
         _write_arm(os.path.join(tmp, "no_da"), no_cfg, no_results)
         _write_arm(os.path.join(tmp, "da"), da_cfg, da_results)
-        _write_text(os.path.join(tmp, "comparison.csv"), table.to_csv())
-        _write_text(os.path.join(tmp, "comparison.txt"), table.to_text())
+        _write_text(os.path.join(tmp, "comparison.csv"), csv_text)
+        _write_text(os.path.join(tmp, "comparison.txt"), table_text)
 
     _write_atomically(out_dir, write)
-    return table
+    return pairs

@@ -144,14 +144,9 @@ def _row_order(targets: tuple[int, ...], n: int) -> tuple[np.ndarray, np.ndarray
     the other qubits, highest first.  So ``state[order].reshape(2**k, -1)``
     puts a k-target gate's own index on the rows, and ``[inverse]`` undoes it.
     """
-    k = len(targets)
     rest = [q for q in range(n - 1, -1, -1) if q not in targets]
-    p = np.arange(2**n)
-    order = np.zeros(2**n, dtype=np.intp)
-    for j, q in enumerate(targets):
-        order |= ((p >> (n - 1 - j)) & 1) << q
-    for j, q in enumerate(rest):
-        order |= ((p >> (n - k - 1 - j)) & 1) << q
+    axes = [n - 1 - q for q in (*targets, *rest)]  # axis n-1-q of the (2,)*n index view is qubit q
+    order = np.arange(2**n).reshape((2,) * n).transpose(axes).reshape(-1)
     inverse = np.argsort(order)
     order.setflags(write=False)
     inverse.setflags(write=False)

@@ -14,7 +14,6 @@ from qcnnlab import harness
 from qcnnlab.cli import main
 from qcnnlab.datasets import write_pgm
 from qcnnlab.harness import (
-    ComparisonTable,
     ConfigError,
     ExperimentConfig,
     RunResult,
@@ -303,9 +302,8 @@ def test_mean_final_test_acc_is_bitwise_the_mean_of_the_final_accuracies(reps):
 
 def test_compare_da_outputs_and_alignment(tmp_path):
     out = tmp_path / "cmp"
-    table = compare_da(_tiny_cfg(), str(out))
-    assert isinstance(table, ComparisonTable)
-    assert len(table.rows) == 1
+    pairs = compare_da(_tiny_cfg(), str(out))
+    assert len(pairs) == 1
     assert (out / "comparison.csv").exists()
     assert (out / "comparison.txt").exists()
     assert (out / "no_da" / "metrics_mean.csv").exists()
@@ -316,9 +314,9 @@ def test_compare_da_outputs_and_alignment(tmp_path):
 
 
 def test_compare_da_row_count_is_grid_size(tmp_path):
-    table = compare_da(_tiny_cfg(class_b=(1, 9), n_per_class=(3, 4)),
+    pairs = compare_da(_tiny_cfg(class_b=(1, 9), n_per_class=(3, 4)),
                        str(tmp_path / "grid"))
-    assert len(table.rows) == 4
+    assert len(pairs) == 4
 
 
 def test_compare_da_disabled_both_arms_gives_zero_delta(tmp_path):
@@ -447,9 +445,9 @@ def test_cli_divergent_cnn_is_numeric_failure_and_writes_nothing(tmp_path, capsy
     assert not out.exists()
 
 
-def _rejected_up_front(tmp_path, capsys, *flags):
+def _rejected_up_front(tmp_path, capsys, *flags, command="train-qcnn"):
     out = tmp_path / "run"
-    code = main(["train-qcnn", "--out", str(out), "--data-path", DIGITS, "--n-per-class", "3",
+    code = main([command, "--out", str(out), "--data-path", DIGITS, "--n-per-class", "3",
                  "--epochs", "1", "--repetitions", "1", *flags])
     err = capsys.readouterr().err
     assert code == 1
@@ -473,6 +471,26 @@ def test_cli_register_too_small_for_images_is_config_error(tmp_path, capsys):
                                              "--resize", "4")
 
 
+@pytest.mark.parametrize("command, flags", [("train-cnn", ()), ("compare-da", ("--model", "cnn"))])
+def test_cli_cnn_on_images_too_small_to_pool_is_config_error_before_training(tmp_path, capsys,
+                                                                             command, flags):
+    err = _rejected_up_front(tmp_path, capsys, "--resize", "1", *flags, command=command)
+    assert err == "config error: input 1x1 too small to pool\n"
+
+
+@pytest.mark.parametrize("command", ["train-qcnn", "compare-da"])
+def test_cli_grid_cell_short_of_images_is_data_error_before_training(tmp_path, capsys, command):
+    # class 8 of digits.csv has 174 images: the 0-vs-8 cell comes after 0-vs-1
+    out = tmp_path / "run"
+    code = main([command, "--out", str(out), "--data-path", DIGITS, "--class-b", "1,8",
+                 "--n-per-class", "126", "--n-test", "100", "--epochs", "1", "--repetitions", "1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "data error: class 8: need 176 samples, dataset has 174\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_cli_class_a_in_class_b_is_config_error(tmp_path, capsys):
     assert "class_a 0" in _rejected_up_front(tmp_path, capsys, "--class-b", "1,0")
 
@@ -487,6 +505,10 @@ def test_cli_odd_n_test_is_config_error(tmp_path, capsys):
     (("--n-per-class", "3,-3"), "every n_per_class must be >= 1, got (3, -3)"),
     (("--n-test", "0"), "n_test 0 must be even and >= 2"),
     (("--epochs", "0"), "epochs must be >= 1, got 0"),
+    (("--dataset", "foo"), "unknown dataset 'foo'"),
+    (("--repetitions", "0"), "repetitions must be >= 1, got 0"),
+    (("--resize", "-1"), "resize must be >= 0 (0 keeps the size), got -1"),
+    (("--depth", "-1"), "depth must be >= 0, got -1"),
 ])
 def test_cli_setting_that_cannot_train_is_config_error_before_loading(tmp_path, capsys,
                                                                        flags, message):
@@ -543,6 +565,22 @@ def test_cli_out_that_is_a_file_is_config_error(tmp_path, capsys):
         assert code == 1, command
         assert "is not a directory" in capsys.readouterr().err
         assert out.read_text() == "x"
+
+
+@pytest.mark.parametrize("command", sorted(_OUT_ARGV))
+@pytest.mark.parametrize("below", ["run", os.path.join("deeper", "run")])
+def test_cli_out_under_a_file_is_config_error_before_training(tmp_path, capsys, command, below):
+    taken = tmp_path / "taken"
+    taken.write_text("x")
+    out = taken / below
+    code = main([*_OUT_ARGV[command], "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == (f"config error: output path {out} lies under {taken}, "
+                            "which exists and is not a directory\n")
+    assert captured.out == ""
+    assert os.listdir(tmp_path) == ["taken"]
+    assert taken.read_text() == "x"
 
 
 @pytest.mark.parametrize("command", ["train-qcnn", "train-cnn"])

@@ -186,6 +186,14 @@ _EXIT_EXAMPLES = [
     ("a depth that leaves a readout wider than 5 wires",
      ["train-qcnn", "--data-path", DIGITS, *_RUN, "--depth", "0"],
      "config error: a 6-wire readout takes 4095 rotations; at most 5 wires are supported, so raise depth"),
+    ("images too small for the CNN to pool",
+     ["train-cnn", "--data-path", DIGITS, *_RUN, "--resize", "1"],
+     "config error: input 1x1 too small to pool"),
+    ("missing or malformed data file",
+     ["train-qcnn", "--dataset", "catdog", "--data-path", "{tmp}/nopgm", *_TINY, "--depth", "1"],
+     "data error: {tmp}/nopgm: no .pgm files found"),
+    ("bad value", ["augment-preview", "--data-path", DIGITS, "--preset", "bogus"],
+     "unknown augmentation preset 'bogus'; know ['catdog', 'digits', 'fashion', 'none']"),
 ]
 
 
@@ -199,6 +207,8 @@ def _bad_data(tmp):
     (tmp / "pets" / "cat.pgm").write_bytes(b"P5\n2 2\n255\n" + bytes(4))
     (tmp / "pets" / "dog.pgm").write_bytes(b"P5\n1 4\n255\n" + bytes(4))
     (tmp / "empty").mkdir()
+    (tmp / "nopgm").mkdir()
+    (tmp / "nopgm" / "cat0.txt").write_text("not an image\n")
     (tmp / "empty" / "cat.pgm").write_bytes(b"P5\n0 0\n255\n")
     (tmp / "idx").mkdir()
     (tmp / "idx" / "train-images-idx3-ubyte").write_bytes(
